@@ -33,6 +33,7 @@ from .entropy import (
     EntropyReport,
     chebyshev_distribution_entropy,
     christoffel_distribution,
+    christoffel_entropies,
     entropy_kernel_split,
     kl_divergence,
     shannon_entropy,

@@ -36,9 +36,9 @@ from .entropy import (
     ENTROPY_CSV_HEADER,
     EntropyReport,
     christoffel_distribution,
+    christoffel_entropies,
     entropy_kernel_split,
     format_float,
-    kl_divergence,
     shannon_entropy,
     zero_entropy_direct,
     zero_entropy_first_kind,
@@ -363,12 +363,11 @@ def run_entropy(config: RunConfig) -> None:
     d_inf = None
     if config.angle is not None:
         d_inf = limit_divergence(config.weight, config.angle)
+    ns = sorted(config.ns)
     reports = []
-    for n in sorted(config.ns):
-        for x in sorted(config.xs):
-            dist = christoffel_distribution(rec, x, n)
-            shannon = shannon_entropy(dist)
-            divergence = kl_divergence(dist)
+    for x in sorted(config.xs):
+        for n, shannon in zip(ns, christoffel_entropies(rec, x, ns)):
+            divergence = math.log(n) - shannon
             gap = None if d_inf is None else divergence - d_inf
             reports.append(EntropyReport(n, x, shannon, divergence, d_inf, gap))
     reports.sort(key=lambda r: (r.n, r.x))

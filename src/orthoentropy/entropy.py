@@ -10,6 +10,7 @@ in terms of the entropy-correction function and an integer gcd.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "EntropyReport",
     "chebyshev_distribution_entropy",
     "christoffel_distribution",
+    "christoffel_entropies",
     "entropy_kernel_split",
     "format_float",
     "kl_divergence",
@@ -65,15 +67,39 @@ class DiscreteDistribution:
         return kl_divergence(self)
 
 
+def _interior_values(rec: RecurrenceCoefficients, x: float, n: int) -> np.ndarray:
+    if not -1.0 < x < 1.0:
+        raise ValueError(f"x must lie in (-1, 1), got {x}")
+    return eval_orthonormal(rec, x, n).values
+
+
+def _normalized_squares(vals: np.ndarray) -> DiscreteDistribution:
+    sq = vals * vals
+    return DiscreteDistribution(sq / sq.sum())
+
+
 def christoffel_distribution(
     rec: RecurrenceCoefficients, x: float, n: int
 ) -> DiscreteDistribution:
     """Distribution with cells proportional to p_0(x)^2, ..., p_{n-1}(x)^2."""
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"x must lie in (-1, 1), got {x}")
-    vals = eval_orthonormal(rec, x, n).values
-    sq = vals * vals
-    return DiscreteDistribution(sq / sq.sum())
+    return _normalized_squares(_interior_values(rec, x, n))
+
+
+def christoffel_entropies(
+    rec: RecurrenceCoefficients, x: float, ns: Sequence[int]
+) -> list[float]:
+    """Entropy of the size-n distribution at x for every n in ``ns``.
+
+    One forward pass to max(ns) serves every size: the size-n
+    distribution is built from the first n values exactly as
+    ``christoffel_distribution`` builds it, so each entropy carries the
+    same bits as ``shannon_entropy(christoffel_distribution(rec, x, n))``.
+    Memory is O(max(ns)).
+    """
+    if not ns or min(ns) < 1:
+        raise ValueError(f"sizes must be a nonempty list of positive integers, got {ns}")
+    vals = _interior_values(rec, x, max(ns))
+    return [shannon_entropy(_normalized_squares(vals[:n])) for n in ns]
 
 
 def shannon_entropy(dist: DiscreteDistribution) -> float:
@@ -93,9 +119,7 @@ def entropy_kernel_split(rec: RecurrenceCoefficients, x: float, n: int) -> float
     Algebraically identical to the direct route but computed independently,
     for cross-validation.
     """
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"x must lie in (-1, 1), got {x}")
-    vals = eval_orthonormal(rec, x, n).values
+    vals = _interior_values(rec, x, n)
     sq = vals * vals
     kernel = float(sq.sum())
     return math.log(kernel) - float(xlogy(sq, sq).sum()) / kernel

@@ -12,6 +12,7 @@ from orthoentropy.entropy import (
     EntropyReport,
     chebyshev_distribution_entropy,
     christoffel_distribution,
+    christoffel_entropies,
     entropy_kernel_split,
     format_float,
     kl_divergence,
@@ -20,7 +21,12 @@ from orthoentropy.entropy import (
     zero_entropy_first_kind,
     zero_entropy_second_kind,
 )
-from orthoentropy.orthopoly import chebyshev_zero, jacobi_recurrence
+from orthoentropy.orthopoly import (
+    WeightSpec,
+    chebyshev_zero,
+    jacobi_recurrence,
+    stieltjes_recurrence,
+)
 from orthoentropy.specfun import entropy_correction
 
 LOG2 = math.log(2.0)
@@ -80,6 +86,28 @@ class TestChristoffelDistribution:
     def test_rejects_endpoints(self):
         with pytest.raises(ValueError):
             christoffel_distribution(CHEB_T_REC, 1.0, 3)
+
+
+class TestChristoffelEntropies:
+    @pytest.mark.parametrize("rec", [
+        LEGENDRE_REC,
+        jacobi_recurrence(0.3, -0.4, 60),
+        stieltjes_recurrence(WeightSpec(-0.3, 0.6, (0.2, 0.5, -0.3)), 60),
+    ])
+    def test_same_bits_as_one_distribution_per_size(self, rec):
+        ns = [1, 2, 7, 33, 60]
+        for x in (-0.85, 0.1, 0.6):
+            expected = [shannon_entropy(christoffel_distribution(rec, x, n)) for n in ns]
+            assert christoffel_entropies(rec, x, ns) == expected
+
+    def test_preconditions(self):
+        for ns in ([], [0, 3], [-1, 3]):
+            with pytest.raises(ValueError):
+                christoffel_entropies(LEGENDRE_REC, 0.2, ns)
+        with pytest.raises(ValueError):
+            christoffel_entropies(LEGENDRE_REC, 1.0, [3])
+        with pytest.raises(ValueError):
+            christoffel_entropies(LEGENDRE_REC, 0.2, [3, 61])
 
 
 class TestShannonEntropy:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthoentropy.orthopoly as op
+from orthoentropy.entropy import christoffel_distribution
 from orthoentropy.errors import NumericError
 from orthoentropy.orthopoly import (
     QuadratureRule,
@@ -23,6 +24,20 @@ from orthoentropy.orthopoly import (
 CHEB_T = WeightSpec.chebyshev_t()
 CHEB_U = WeightSpec.chebyshev_u()
 LEGENDRE = WeightSpec.legendre()
+SEEDED_JACOBI = WeightSpec(*np.random.default_rng(20141008).uniform(-0.95, 1.5, 2))
+
+
+def numpy_scalar_orthonormal(rec, x, n):
+    """Forward recurrence on numpy scalars: the bit-exact reference kernel."""
+    a, b = rec.a, rec.b
+    sb = np.sqrt(b[:n])
+    vals = np.empty(n)
+    vals[0] = 1.0 / sb[0]
+    if n > 1:
+        vals[1] = (x - a[0]) * vals[0] / sb[1]
+    for k in range(1, n - 1):
+        vals[k + 1] = ((x - a[k]) * vals[k] - sb[k] * vals[k - 1]) / sb[k + 1]
+    return vals
 
 
 def orthonormality_defect(weight: WeightSpec, rec, degree: int, oracle_size: int = 150):
@@ -138,6 +153,24 @@ class TestStieltjes:
         with pytest.raises(ValueError):
             stieltjes_recurrence(WeightSpec(0.0, 0.0, (0.0, 1.0)), 30, rule_size=10)
 
+    def test_default_rule_resolves_h_at_low_degree(self):
+        # 2n + ceil(M/2) + 8 = 23 nodes missed the reference here by 5.5e-9
+        weight = WeightSpec(-0.5803, -0.2883, (0.9009, -0.9676, 0.9727, -0.042, 0.9739))
+        x = -0.6939
+        default = stieltjes_recurrence(weight, 6)
+        reference = stieltjes_recurrence(weight, 6, rule_size=400)
+        assert abs(
+            christoffel_distribution(default, x, 6).shannon
+            - christoffel_distribution(reference, x, 6).shannon
+        ) < 1e-12
+
+    def test_rule_floor_leaves_larger_default_rules_alone(self):
+        weight = WeightSpec(0.0, 0.0, (0.0, 1.0))
+        default = stieltjes_recurrence(weight, 31)
+        explicit = stieltjes_recurrence(weight, 31, rule_size=2 * 31 + 1 + 8)
+        assert np.array_equal(default.a, explicit.a)
+        assert np.array_equal(default.b, explicit.b)
+
     def test_overflowing_h_raises_numeric_error(self):
         # h = exp(800 x) overflows the quadrature mass outright
         with np.errstate(over="ignore"), pytest.raises(NumericError):
@@ -246,6 +279,22 @@ class TestEvalOrthonormal:
                 ]
             )
             assert np.abs(vals - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("weight", [CHEB_T, CHEB_U, LEGENDRE, SEEDED_JACOBI])
+    def test_bits_match_numpy_scalar_loop(self, weight):
+        rec = weight_recurrence(weight, 4097)
+        for x in (-1.0, -0.3, 0.7, 1.0):
+            for n in (1, 2, 3, 4097):
+                vals = eval_orthonormal(rec, x, n).values
+                assert np.array_equal(vals, numpy_scalar_orthonormal(rec, x, n))
+
+    @pytest.mark.parametrize("weight", [CHEB_T, LEGENDRE, SEEDED_JACOBI])
+    def test_prefix_is_shorter_evaluation(self, weight):
+        rec = weight_recurrence(weight, 4097)
+        for x in (-0.3, 0.7):
+            full = eval_orthonormal(rec, x, 4097).values
+            for n in (1, 2, 3, 250, 4096):
+                assert np.array_equal(full[:n], eval_orthonormal(rec, x, n).values)
 
     def test_single_value(self):
         rec = jacobi_recurrence(0.0, 0.0, 5)
