@@ -23,7 +23,7 @@ from orthoentropy import (
     limit_divergence,
     weight_recurrence,
 )
-from orthoentropy.entropy import format_float
+from orthoentropy.entropy import csv_line
 
 WEIGHTS = {
     "chebyshev_t": WeightSpec.chebyshev_t(),
@@ -60,9 +60,7 @@ def main(argv: list[str] | None = None) -> int:
             entropies = christoffel_entropies(rec, x, schedule)
             for size, shannon in zip(schedule, entropies):
                 divergence = math.log(size) - shannon
-                cells = [wname, aname, str(size), format_float(divergence),
-                         format_float(limit), format_float(divergence - limit)]
-                print(",".join(cells))
+                print(csv_line([wname, aname, size, divergence, limit, divergence - limit]))
     return 0
 
 

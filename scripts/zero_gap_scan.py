@@ -20,13 +20,13 @@ from orthoentropy import (
     zero_entropy_gaps,
     zero_subsequence,
 )
-from orthoentropy.entropy import format_float
+from orthoentropy.entropy import csv_line, format_float
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=200, help="items per family")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print("kind,family,n,j,gap")
     scans = [
@@ -40,7 +40,7 @@ def main() -> int:
         items = zero_subsequence(family, angle, args.count)
         gaps = zero_entropy_gaps(kind, angle, items)
         for item, gap in zip(items, gaps):
-            print(",".join([kind, str(family), str(item.n), str(item.j), format_float(gap)]))
+            print(csv_line([kind, family, item.n, item.j, gap]))
         if kind == "first" and angle.k % 2 == 1:
             bound = 2.0 * entropy_correction(0.5 / angle.k) - entropy_correction(1.0 / angle.k)
             print(f"# first kind, k={angle.k}: gap ceiling "

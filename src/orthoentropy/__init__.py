@@ -28,7 +28,6 @@ from .asymptotics import (
     zero_subsequence,
 )
 from .entropy import (
-    ENTROPY_CSV_HEADER,
     DiscreteDistribution,
     EntropyReport,
     chebyshev_distribution_entropy,
@@ -43,7 +42,6 @@ from .entropy import (
 )
 from .errors import ConfigError, ConvergenceError, NumericError, ToleranceError
 from .orthopoly import (
-    OrthonormalValues,
     QuadratureRule,
     RecurrenceCoefficients,
     WeightSpec,
@@ -62,7 +60,6 @@ from .specfun import (
     entropy_correction,
     entropy_correction_series,
     entropy_integrand,
-    euler_gamma,
     zeta_odd,
 )
 

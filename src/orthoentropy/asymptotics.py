@@ -200,11 +200,7 @@ def phase_average(weight: WeightSpec, angle: RationalAngle) -> float:
 
     Always nonpositive, since the integrand is nonpositive on [-1, 1].
     """
-    theta = angle.theta
-    phi = phase_shift(weight, theta)
-    i = np.arange(angle.k)
-    y = np.cos((i + 0.5) * theta + phi - _QUARTER_PI)
-    return float(_integrand_even(y).sum()) / angle.k
+    return phase_average_empirical(weight, angle.theta, angle.k)
 
 
 def phase_average_empirical(weight: WeightSpec, theta: float, n: int) -> float:
@@ -296,7 +292,7 @@ def christoffel_limit_ratios(
         raise ValueError(f"x must lie in (-1, 1), got {x}")
     if rec is None:
         rec = weight_recurrence(weight, n + 1)
-    vals = eval_orthonormal(rec, x, n + 1).values
+    vals = eval_orthonormal(rec, x, n + 1)
     head = vals[:n]
     lam = 1.0 / float(np.dot(head, head))
     ratio = n * lam / (math.pi * float(weight.w(x)) * math.sqrt(1.0 - x * x))

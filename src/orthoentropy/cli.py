@@ -13,7 +13,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,12 +34,11 @@ from .asymptotics import (
     zero_subsequence,
 )
 from .entropy import (
-    ENTROPY_CSV_HEADER,
     EntropyReport,
     christoffel_distribution,
     christoffel_entropies,
+    csv_line,
     entropy_kernel_split,
-    format_float,
     shannon_entropy,
     zero_entropy_direct,
     zero_entropy_first_kind,
@@ -57,9 +57,6 @@ from .specfun import entropy_correction, entropy_correction_series
 
 _LOG2 = math.log(2.0)
 _KIND_BY_FLAG = {"T": "first", "U": "second"}
-
-ZEROS_CSV_HEADER = "n,j,zero,closed_form,direct,diff"
-LIMIT_CSV_HEADER = "theta,angle_type,s,k,phase_average,d_infinity,cheb_t_closed_form"
 
 
 @dataclass(frozen=True)
@@ -351,11 +348,41 @@ def _emit(config: RunConfig, text: str) -> None:
             fh.write(text)
 
 
-def _emit_rows(config: RunConfig, header: str, csv_rows: list[str], json_rows: list[dict]) -> None:
+@dataclass(frozen=True)
+class LimitRow:
+    """One ``limit`` output row; s and k are None for an irrational angle."""
+
+    theta: float
+    angle_type: str
+    s: int | None
+    k: int | None
+    phase_average: float
+    d_infinity: float
+    cheb_t_closed_form: float | None
+
+
+@dataclass(frozen=True)
+class ZeroRow:
+    """One ``zeros`` output row: closed form against direct summation at a zero."""
+
+    n: int
+    j: int
+    zero: float
+    closed_form: float
+    direct: float
+    diff: float
+
+
+def _emit_rows(config: RunConfig, rows: list) -> None:
+    """Write dataclass rows; their field names are the CSV header and the JSON keys."""
+    names = [f.name for f in fields(rows[0])]
+    cells = attrgetter(*names)
     if config.fmt == "json":
-        _emit(config, json.dumps(json_rows, indent=2) + "\n")
+        records = [dict(zip(names, cells(row))) for row in rows]
+        _emit(config, json.dumps(records, indent=2) + "\n")
     else:
-        _emit(config, "\n".join([header] + csv_rows) + "\n")
+        lines = [",".join(names)] + [csv_line(cells(row)) for row in rows]
+        _emit(config, "\n".join(lines) + "\n")
 
 
 def run_entropy(config: RunConfig) -> None:
@@ -371,101 +398,46 @@ def run_entropy(config: RunConfig) -> None:
             gap = None if d_inf is None else divergence - d_inf
             reports.append(EntropyReport(n, x, shannon, divergence, d_inf, gap))
     reports.sort(key=lambda r: (r.n, r.x))
-    _emit_rows(
-        config,
-        ENTROPY_CSV_HEADER,
-        [r.to_csv_row() for r in reports],
-        [r.to_json_dict() for r in reports],
-    )
+    _emit_rows(config, reports)
 
 
 def run_limit(config: RunConfig) -> None:
     angle = config.angle
     weight = config.weight
-    is_cheb_t = weight.alpha == -0.5 and weight.beta == -0.5 and weight.trivial_h
+    d_inf = limit_divergence(weight, angle)
     if isinstance(angle, RationalAngle):
-        average = phase_average(weight, angle)
-        d_inf = limit_divergence(weight, angle)
+        is_cheb_t = weight.alpha == -0.5 and weight.beta == -0.5 and weight.trivial_h
         closed = (
             chebyshev_divergence_limit(angle.k) if (is_cheb_t and angle.k >= 2) else None
         )
-        cells = [
-            format_float(angle.theta),
-            "rational",
-            str(angle.s),
-            str(angle.k),
-            format_float(average),
-            format_float(d_inf),
-            "" if closed is None else format_float(closed),
-        ]
-        row = {
-            "theta": angle.theta,
-            "angle_type": "rational",
-            "s": angle.s,
-            "k": angle.k,
-            "phase_average": average,
-            "d_infinity": d_inf,
-            "cheb_t_closed_form": closed,
-        }
+        row = LimitRow(angle.theta, "rational", angle.s, angle.k,
+                       phase_average(weight, angle), d_inf, closed)
     else:
-        average = 0.5 - _LOG2
-        d_inf = limit_divergence(weight, angle)
-        cells = [
-            format_float(angle.theta),
-            "irrational",
-            "",
-            "",
-            format_float(average),
-            format_float(d_inf),
-            "",
-        ]
-        row = {
-            "theta": angle.theta,
-            "angle_type": "irrational",
-            "s": None,
-            "k": None,
-            "phase_average": average,
-            "d_infinity": d_inf,
-            "cheb_t_closed_form": None,
-        }
-    _emit_rows(config, LIMIT_CSV_HEADER, [",".join(cells)], [row])
-
-
-def _zeros_row(n: int, j: int, zero: float, closed: float, direct: float) -> tuple[str, dict]:
-    diff = closed - direct
-    cells = [str(n), str(j), format_float(zero), format_float(closed),
-             format_float(direct), format_float(diff)]
-    return ",".join(cells), {
-        "n": n, "j": j, "zero": zero, "closed_form": closed,
-        "direct": direct, "diff": diff,
-    }
+        row = LimitRow(angle.theta, "irrational", None, None, 0.5 - _LOG2, d_inf, None)
+    _emit_rows(config, [row])
 
 
 def run_zeros(config: RunConfig) -> None:
     kind = config.kind
     closed_fn = zero_entropy_first_kind if kind == "first" else zero_entropy_second_kind
-    csv_rows: list[str] = []
-    json_rows: list[dict] = []
     if config.family is not None:
         items = zero_subsequence(config.family, config.angle, config.count)
         gaps = zero_entropy_gaps(kind, config.angle, items)
+        cases = []
         for item, gap in zip(items, gaps):
             closed = closed_fn(item.n, item.j)
-            row, obj = _zeros_row(
-                item.n, item.j, chebyshev_zero(kind, item.n, item.j), closed, closed - gap
-            )
-            csv_rows.append(row)
-            json_rows.append(obj)
+            cases.append((item.n, item.j, closed, closed - gap))
     else:
-        for n in sorted(config.ns):
-            for j in range(1, n + 1):
-                row, obj = _zeros_row(
-                    n, j, chebyshev_zero(kind, n, j), closed_fn(n, j),
-                    zero_entropy_direct(kind, n, j),
-                )
-                csv_rows.append(row)
-                json_rows.append(obj)
-    _emit_rows(config, ZEROS_CSV_HEADER, csv_rows, json_rows)
+        cases = [
+            (n, j, closed_fn(n, j), zero_entropy_direct(kind, n, j))
+            for n in sorted(config.ns)
+            for j in range(1, n + 1)
+        ]
+    rows = [
+        ZeroRow(n, j, chebyshev_zero(kind, n, j), closed, direct, closed - direct)
+        for n, j, closed, direct in cases
+    ]
+    _emit_rows(config, rows)
 
 
 def _verify_checks(universality_n: int) -> list[tuple[str, float, float]]:
@@ -523,7 +495,7 @@ def _verify_checks(universality_n: int) -> list[tuple[str, float, float]]:
         oracle = gauss_jacobi(weight.alpha, weight.beta, 150)
         wh = oracle.weights * np.asarray(weight.h(oracle.nodes))
         table = np.stack(
-            [eval_orthonormal(rec, float(t), 31).values for t in oracle.nodes]
+            [eval_orthonormal(rec, float(t), 31) for t in oracle.nodes]
         )
         gram = table.T @ (wh[:, None] * table)
         err = max(err, float(np.abs(gram - np.eye(31)).max()))

@@ -20,12 +20,12 @@ from .orthopoly import RecurrenceCoefficients, _require_kind, eval_orthonormal
 from .specfun import entropy_correction
 
 __all__ = [
-    "ENTROPY_CSV_HEADER",
     "DiscreteDistribution",
     "EntropyReport",
     "chebyshev_distribution_entropy",
     "christoffel_distribution",
     "christoffel_entropies",
+    "csv_line",
     "entropy_kernel_split",
     "format_float",
     "kl_divergence",
@@ -70,7 +70,7 @@ class DiscreteDistribution:
 def _interior_values(rec: RecurrenceCoefficients, x: float, n: int) -> np.ndarray:
     if not -1.0 < x < 1.0:
         raise ValueError(f"x must lie in (-1, 1), got {x}")
-    return eval_orthonormal(rec, x, n).values
+    return eval_orthonormal(rec, x, n)
 
 
 def _normalized_squares(vals: np.ndarray) -> DiscreteDistribution:
@@ -187,17 +187,32 @@ def zero_entropy_direct(kind: str, n: int, j: int) -> float:
     return chebyshev_distribution_entropy(kind, n, theta)
 
 
-ENTROPY_CSV_HEADER = "n,x,shannon,divergence,d_infinity,gap"
-
-
 def format_float(value: float) -> str:
     """Fixed 17-significant-digit formatting; round-trips any double."""
     return f"{value:.17g}"
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return format_float(value)
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return str(value)
+
+
+def csv_line(cells) -> str:
+    """Comma-joined cells: float by format_float, None empty, str as is, int by str."""
+    return ",".join(map(_csv_cell, cells))
+
+
 @dataclass(frozen=True)
 class EntropyReport:
-    """One output row: (n, x, entropy, divergence, limit, gap to the limit)."""
+    """One output row: (n, x, entropy, divergence, limit, gap to the limit).
+
+    The field names are the CSV header and the JSON keys of the row.
+    """
 
     n: int
     x: float
@@ -213,24 +228,3 @@ class EntropyReport:
             raise ValueError("entropy outside [0, log n]")
         if self.divergence < -1e-12:
             raise ValueError("divergence must be nonnegative")
-
-    def to_csv_row(self) -> str:
-        cells = [
-            str(self.n),
-            format_float(self.x),
-            format_float(self.shannon),
-            format_float(self.divergence),
-            "" if self.d_infinity is None else format_float(self.d_infinity),
-            "" if self.gap is None else format_float(self.gap),
-        ]
-        return ",".join(cells)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "x": self.x,
-            "shannon": self.shannon,
-            "divergence": self.divergence,
-            "d_infinity": self.d_infinity,
-            "gap": self.gap,
-        }

@@ -20,7 +20,6 @@ from .errors import ConvergenceError, NumericError
 
 __all__ = [
     "CHEBYSHEV_KINDS",
-    "OrthonormalValues",
     "QuadratureRule",
     "RecurrenceCoefficients",
     "WeightSpec",
@@ -257,7 +256,13 @@ def weight_recurrence(weight: WeightSpec, n_max: int) -> RecurrenceCoefficients:
     if len(weight.logh_cheb) <= 1:
         rec = jacobi_recurrence(weight.alpha, weight.beta, n_max)
         if weight.logh_cheb and weight.logh_cheb[0] != 0.0:
-            rec = rec.scaled_mass(math.exp(weight.logh_cheb[0]))
+            try:
+                scale = math.exp(weight.logh_cheb[0])
+            except OverflowError as exc:
+                raise NumericError(
+                    f"constant log h = {weight.logh_cheb[0]} overflows the total mass"
+                ) from exc
+            rec = rec.scaled_mass(scale)
         return rec
     return stieltjes_recurrence(weight, n_max)
 
@@ -336,20 +341,12 @@ def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
     return QuadratureRule(nodes[order], 1.0 / ksum[order])
 
 
-@dataclass(frozen=True)
-class OrthonormalValues:
-    """Values (p_0(x), ..., p_{n-1}(x)) of the orthonormal sequence."""
-
-    x: float
-    values: np.ndarray
-
-
-def eval_orthonormal(rec: RecurrenceCoefficients, x: float, n: int) -> OrthonormalValues:
-    """First n orthonormal polynomial values at x by forward recurrence.
+def eval_orthonormal(rec: RecurrenceCoefficients, x: float, n: int) -> np.ndarray:
+    """Orthonormal values (p_0(x), ..., p_{n-1}(x)) by forward recurrence.
 
     The forward pass is numerically stable on the interval interior; the
     endpoints are accepted for quadrature-style uses but excluded from the
-    entropy API.  ``values[:m]`` equals the result for size m bit for bit,
+    entropy API.  ``result[:m]`` equals the result for size m bit for bit,
     so one pass to the largest size serves a whole schedule.
     """
     if not 1 <= n <= rec.n_max:
@@ -368,12 +365,12 @@ def eval_orthonormal(rec: RecurrenceCoefficients, x: float, n: int) -> Orthonorm
     for a_k, sb_k, sb_next in zip(memoryview(rec.a), sb, sb[1:]):
         p_prev, p = p, ((x - a_k) * p - sb_k * p_prev) / sb_next
         append(p)
-    return OrthonormalValues(x, np.frombuffer(vals))
+    return np.frombuffer(vals)
 
 
 def christoffel(rec: RecurrenceCoefficients, x: float, n: int) -> float:
     """Christoffel function 1 / sum_{k<n} p_k(x)^2; strictly positive."""
-    vals = eval_orthonormal(rec, x, n).values
+    vals = eval_orthonormal(rec, x, n)
     return 1.0 / float(np.dot(vals, vals))
 
 

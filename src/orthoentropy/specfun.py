@@ -14,6 +14,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from scipy.special import zeta
+
 from .errors import ToleranceError
 
 __all__ = [
@@ -23,7 +25,6 @@ __all__ = [
     "entropy_correction",
     "entropy_correction_series",
     "entropy_integrand",
-    "euler_gamma",
     "zeta_odd",
 ]
 
@@ -72,59 +73,23 @@ def digamma(x: float) -> float:
     return math.fsum(raised + [math.log(x), -0.5 / x, tail])
 
 
-def euler_gamma() -> float:
-    """The Euler-Mascheroni constant (0.577...), as a stored constant."""
-    return EULER_GAMMA
-
-
-# Beyond this exponent the defining series is 1 + 2^-m + ... to full
-# double precision after a handful of terms.
-_ZETA_DIRECT_CUTOFF = 55
-_EM_N = 60
-
-# B_{2k} / (2k)! for k = 1..6, used in the Euler-Maclaurin tail.
-_EM_BERNOULLI = (
-    1.0 / 12.0,
-    -1.0 / 720.0,
-    1.0 / 30240.0,
-    -1.0 / 1209600.0,
-    1.0 / 47900160.0,
-    -691.0 / 1307674368000.0,
-)
-
-
-def _zeta_euler_maclaurin(m: int) -> float:
-    if m >= _ZETA_DIRECT_CUTOFF:
-        return 1.0 + 2.0 ** -m + 3.0 ** -m + 4.0 ** -m
-    n = _EM_N
-    s = math.fsum(j ** -m for j in range(1, n))
-    s += n ** (1 - m) / (m - 1) + 0.5 * n ** -m
-    # Correction terms B_{2k}/(2k)! * m(m+1)...(m+2k-2) * n^(1-m-2k).
-    poch = float(m)
-    power = float(n) ** -(m + 1)
-    for k, coeff in enumerate(_EM_BERNOULLI, start=1):
-        s += coeff * poch * power
-        poch *= (m + 2 * k - 1) * (m + 2 * k)
-        power /= n * n
-    return s
-
-
 _ODD_ZETA_CACHE_MAX = 129
-_ODD_ZETA = tuple(_zeta_euler_maclaurin(m) for m in range(3, _ODD_ZETA_CACHE_MAX + 1, 2))
+_ODD_ZETA = tuple(float(zeta(m)) for m in range(3, _ODD_ZETA_CACHE_MAX + 1, 2))
 
 
 def zeta_odd(m: int) -> float:
-    """Riemann zeta at an odd integer m >= 3, absolute error below 1e-13.
+    """Riemann zeta at an odd integer m >= 3, correctly rounded.
 
-    Direct summation with an Euler-Maclaurin tail; values up to m = 129
-    come from an immutable cache built at import.
+    Values up to m = 129 come from scipy's ``zeta``, cached in an
+    immutable tuple at import.
     """
     m = operator.index(m)
     if m % 2 == 0 or m < 3:
         raise ValueError(f"zeta_odd requires an odd integer >= 3, got {m}")
     if m <= _ODD_ZETA_CACHE_MAX:
         return _ODD_ZETA[(m - 3) // 2]
-    return _zeta_euler_maclaurin(m)
+    # zeta(m) - 1 < 2^(1-m) lies far below half an ulp of 1.0
+    return 1.0
 
 
 @dataclass(frozen=True)

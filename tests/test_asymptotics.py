@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from orthoentropy.asymptotics import (
     IrrationalAngle,
@@ -127,6 +128,18 @@ class TestPhaseAverage:
                 for s in range(2, k):
                     if math.gcd(s, k) == 1:
                         assert abs(phase_average(weight, RationalAngle(s, k)) - base) < 1e-12
+
+    def test_bits_match_k_point_sum(self):
+        # reference: the k-point sum written out, the same operations in the
+        # same order, so the same bits
+        for weight in (CHEB_T, CHEB_U, LEGENDRE):
+            for s, k in ((1, 2), (1, 3), (2, 5), (3, 7), (5, 12)):
+                angle = RationalAngle(s, k)
+                phi = phase_shift(weight, angle.theta)
+                y = np.cos((np.arange(k) + 0.5) * angle.theta + phi - 0.25 * math.pi)
+                sq = y * y
+                expected = float(xlogy(sq, sq).sum()) / k
+                assert phase_average(weight, angle) == expected
 
 
 class TestPhaseAverageEmpirical:
@@ -261,7 +274,7 @@ class TestAsymptoticPolynomial:
             errs = [
                 abs(
                     asymptotic_polynomial(LEGENDRE, n, float(x))
-                    - eval_orthonormal(rec, float(x), n + 1).values[n]
+                    - eval_orthonormal(rec, float(x), n + 1)[n]
                 )
                 for x in np.linspace(-0.8, 0.8, 33)
             ]

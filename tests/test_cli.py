@@ -117,6 +117,15 @@ class TestEntropyCommand:
         assert code == 3
         assert "numeric error" in err
 
+    @pytest.mark.parametrize("c0", ["800", "-800"])
+    def test_large_constant_logh_exits_3(self, capsys, c0):
+        code, out, err = run_cli(
+            capsys, "entropy", f"--logh-coeffs={c0}", "--x", "0.2", "--n", "50",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric error:") and err.count("\n") == 1
+
 
 class TestScanCommand:
     def test_deterministic_output(self, capsys, tmp_path):

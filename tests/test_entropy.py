@@ -1,18 +1,20 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orthoentropy.cli import RunConfig, _emit_rows
 from orthoentropy.entropy import (
-    ENTROPY_CSV_HEADER,
     DiscreteDistribution,
     EntropyReport,
     chebyshev_distribution_entropy,
     christoffel_distribution,
     christoffel_entropies,
+    csv_line,
     entropy_kernel_split,
     format_float,
     kl_divergence,
@@ -209,6 +211,10 @@ class TestClosedFormZeroEntropies:
             chebyshev_distribution_entropy("second", 5, math.pi)
 
 
+def report_csv_line(report):
+    return csv_line(getattr(report, f.name) for f in fields(report))
+
+
 class TestEntropyReport:
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
@@ -219,9 +225,9 @@ class TestEntropyReport:
     def test_csv_row_shape(self):
         shannon = math.log(3.0) - 2.0 / 3.0 * LOG2
         report = EntropyReport(3, 0.0, shannon, 2.0 / 3.0 * LOG2)
-        row = report.to_csv_row()
+        row = report_csv_line(report)
         cells = row.split(",")
-        assert len(cells) == len(ENTROPY_CSV_HEADER.split(","))
+        assert len(cells) == len(fields(EntropyReport))
         assert cells[0] == "3"
         assert cells[1] == "0"
         assert cells[4] == "" and cells[5] == ""
@@ -229,16 +235,20 @@ class TestEntropyReport:
 
     def test_csv_row_with_limit(self):
         report = EntropyReport(10, 0.5, 1.0, math.log(10.0) - 1.0, LOG2, 0.01)
-        cells = report.to_csv_row().split(",")
+        cells = report_csv_line(report).split(",")
         assert float(cells[4]) == LOG2
         assert float(cells[5]) == 0.01
 
-    def test_json_mirror(self):
+    def test_json_mirror(self, capsys):
         report = EntropyReport(3, 0.0, 0.5, math.log(3.0) - 0.5)
-        data = report.to_json_dict()
+        _emit_rows(RunConfig("entropy", WeightSpec.chebyshev_t(), fmt="json"), [report])
+        (data,) = json.loads(capsys.readouterr().out)
         assert list(data) == ["n", "x", "shannon", "divergence", "d_infinity", "gap"]
         assert data["d_infinity"] is None
         assert json.loads(json.dumps(data)) == data
+
+    def test_csv_line_cells(self):
+        assert csv_line([None, "rational", 7, 0.1, -0.0]) == ",rational,7,0.10000000000000001,-0"
 
     def test_format_float_round_trips(self):
         for value in (math.pi, 1.0 / 3.0, 1e-300, -0.0, 123456.789):

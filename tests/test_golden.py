@@ -35,6 +35,16 @@ CASES = {
     ], 0),
     "zeros": (["zeros", "--kind", "T", "--n-schedule", "3,8"], 0),
     "limit": (["limit", "--alpha=0", "--beta=0", "--logh-coeffs=0,1", "--theta", "1.0"], 0),
+    # Chebyshev T at a rational angle: the closed-form cell is filled
+    "limit_rational_json": (["limit", "--angle", "2/5", "--format", "json"], 0),
+    # rational angle off Chebyshev T: the closed-form cell is empty
+    "limit_rational_csv": (["limit", "--angle", "1/3"] + JACOBI, 0),
+    "zeros_subsequence_json": ([
+        "zeros", "--kind", "U", "--subsequence", "4", "--angle", "1/3",
+        "--count", "5", "--format", "json",
+    ], 0),
+    # a point without an angle: d_infinity and gap are null
+    "entropy_x_json": (["entropy", "--x", "0.2", "--n-schedule", "3,7", "--format", "json"], 0),
     # at n = 200 the universality tail (1.005e-2) exceeds its 1e-2 bound: exit 1
     "verify": (["verify", "--n", "200"], 1),
 }

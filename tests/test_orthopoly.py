@@ -45,7 +45,7 @@ def orthonormality_defect(weight: WeightSpec, rec, degree: int, oracle_size: int
     oracle = gauss_jacobi(weight.alpha, weight.beta, oracle_size)
     wh = oracle.weights * np.asarray(weight.h(oracle.nodes))
     table = np.stack(
-        [eval_orthonormal(rec, float(t), degree).values for t in oracle.nodes]
+        [eval_orthonormal(rec, float(t), degree) for t in oracle.nodes]
     )
     gram = table.T @ (wh[:, None] * table)
     return float(np.abs(gram - np.eye(degree)).max())
@@ -260,7 +260,7 @@ class TestEvalOrthonormal:
         rec = jacobi_recurrence(-0.5, -0.5, 60)
         for theta in (0.3, 1.0, 2.2):
             x = math.cos(theta)
-            vals = eval_orthonormal(rec, x, 50).values
+            vals = eval_orthonormal(rec, x, 50)
             expected = np.array(
                 [1.0 / math.sqrt(math.pi)]
                 + [math.sqrt(2.0 / math.pi) * math.cos(m * theta) for m in range(1, 50)]
@@ -271,7 +271,7 @@ class TestEvalOrthonormal:
         rec = jacobi_recurrence(0.5, 0.5, 60)
         for theta in (0.4, 1.3, 2.8):
             x = math.cos(theta)
-            vals = eval_orthonormal(rec, x, 50).values
+            vals = eval_orthonormal(rec, x, 50)
             expected = np.array(
                 [
                     math.sqrt(2.0 / math.pi) * math.sin((m + 1) * theta) / math.sin(theta)
@@ -285,20 +285,20 @@ class TestEvalOrthonormal:
         rec = weight_recurrence(weight, 4097)
         for x in (-1.0, -0.3, 0.7, 1.0):
             for n in (1, 2, 3, 4097):
-                vals = eval_orthonormal(rec, x, n).values
+                vals = eval_orthonormal(rec, x, n)
                 assert np.array_equal(vals, numpy_scalar_orthonormal(rec, x, n))
 
     @pytest.mark.parametrize("weight", [CHEB_T, LEGENDRE, SEEDED_JACOBI])
     def test_prefix_is_shorter_evaluation(self, weight):
         rec = weight_recurrence(weight, 4097)
         for x in (-0.3, 0.7):
-            full = eval_orthonormal(rec, x, 4097).values
+            full = eval_orthonormal(rec, x, 4097)
             for n in (1, 2, 3, 250, 4096):
-                assert np.array_equal(full[:n], eval_orthonormal(rec, x, n).values)
+                assert np.array_equal(full[:n], eval_orthonormal(rec, x, n))
 
     def test_single_value(self):
         rec = jacobi_recurrence(0.0, 0.0, 5)
-        vals = eval_orthonormal(rec, 0.7, 1).values
+        vals = eval_orthonormal(rec, 0.7, 1)
         assert vals.shape == (1,)
         assert abs(vals[0] - 1.0 / math.sqrt(rec.b[0])) < 1e-15
 
@@ -351,11 +351,11 @@ class TestChebyshevZero:
         rec = jacobi_recurrence(-0.5, -0.5, 14)
         for j in (1, 5, 12):
             z = chebyshev_zero("first", 12, j)
-            assert abs(eval_orthonormal(rec, z, 13).values[12]) < 1e-12
+            assert abs(eval_orthonormal(rec, z, 13)[12]) < 1e-12
         rec = jacobi_recurrence(0.5, 0.5, 14)
         for j in (1, 6, 12):
             z = chebyshev_zero("second", 12, j)
-            assert abs(eval_orthonormal(rec, z, 13).values[12]) < 1e-12
+            assert abs(eval_orthonormal(rec, z, 13)[12]) < 1e-12
 
     def test_index_errors(self):
         with pytest.raises(IndexError):

@@ -2,7 +2,16 @@ import importlib.util
 import math
 from pathlib import Path
 
-from orthoentropy import christoffel_distribution, kl_divergence, limit_divergence, weight_recurrence
+from orthoentropy import (
+    RationalAngle,
+    christoffel_distribution,
+    entropy_correction,
+    kl_divergence,
+    limit_divergence,
+    weight_recurrence,
+    zero_entropy_gaps,
+    zero_subsequence,
+)
 from orthoentropy.entropy import format_float
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -30,4 +39,21 @@ def test_divergence_convergence_matches_per_size_route(capsys):
                     wname, aname, str(size), format_float(divergence),
                     format_float(limit), format_float(divergence - limit),
                 ]))
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_zero_gap_scan_rows(capsys):
+    script = load_script("zero_gap_scan")
+    assert script.main(["--count", "6"]) == 0
+    lines = ["kind,family,n,j,gap"]
+    for kind, family, s, k in (("second", 4, 1, 3), ("second", 4, 1, 2),
+                               ("first", 2, 1, 4), ("first", 4, 1, 3), ("first", 4, 1, 5)):
+        angle = RationalAngle(s, k)
+        items = zero_subsequence(family, angle, 6)
+        for item, gap in zip(items, zero_entropy_gaps(kind, angle, items)):
+            lines.append(",".join([kind, str(family), str(item.n), str(item.j), format_float(gap)]))
+        if kind == "first" and k % 2 == 1:
+            ceiling = 2.0 * entropy_correction(0.5 / k) - entropy_correction(1.0 / k)
+            lines.append(f"# first kind, k={k}: gap ceiling "
+                         f"2*correction(1/(2k)) - correction(1/k) = {format_float(ceiling)}")
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
