@@ -16,44 +16,27 @@ import sys
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-import numpy as np
-
 from .asymptotics import (
     Angle,
     IrrationalAngle,
     RationalAngle,
-    asymptotic_polynomial,
     chebyshev_divergence_limit,
-    christoffel_limit_ratios,
-    identity_suite,
     limit_divergence,
     phase_average,
-    phase_shift,
-    pv_log_h_oracle,
     zero_entropy_gaps,
     zero_subsequence,
 )
+from .checks import CHECKS, verify_scope
 from .entropy import (
     EntropyReport,
-    christoffel_distribution,
     christoffel_entropies,
     csv_line,
-    entropy_kernel_split,
-    shannon_entropy,
     zero_entropy_direct,
     zero_entropy_first_kind,
     zero_entropy_second_kind,
 )
 from .errors import ConfigError, NumericError
-from .orthopoly import (
-    WeightSpec,
-    chebyshev_zero,
-    eval_orthonormal,
-    gauss_jacobi,
-    stieltjes_recurrence,
-    weight_recurrence,
-)
-from .specfun import entropy_correction, entropy_correction_series
+from .orthopoly import WeightSpec, chebyshev_zero, weight_recurrence
 
 _LOG2 = math.log(2.0)
 _KIND_BY_FLAG = {"T": "first", "U": "second"}
@@ -404,16 +387,18 @@ def run_entropy(config: RunConfig) -> None:
 def run_limit(config: RunConfig) -> None:
     angle = config.angle
     weight = config.weight
-    d_inf = limit_divergence(weight, angle)
     if isinstance(angle, RationalAngle):
+        average = phase_average(weight, angle)
         is_cheb_t = weight.alpha == -0.5 and weight.beta == -0.5 and weight.trivial_h
         closed = (
             chebyshev_divergence_limit(angle.k) if (is_cheb_t and angle.k >= 2) else None
         )
+        # limit_divergence's rational form, without a second phase average
         row = LimitRow(angle.theta, "rational", angle.s, angle.k,
-                       phase_average(weight, angle), d_inf, closed)
+                       average, _LOG2 + 2.0 * average, closed)
     else:
-        row = LimitRow(angle.theta, "irrational", None, None, 0.5 - _LOG2, d_inf, None)
+        row = LimitRow(angle.theta, "irrational", None, None, 0.5 - _LOG2,
+                       limit_divergence(weight, angle), None)
     _emit_rows(config, [row])
 
 
@@ -440,121 +425,19 @@ def run_zeros(config: RunConfig) -> None:
     _emit_rows(config, rows)
 
 
-def _verify_checks(universality_n: int) -> list[tuple[str, float, float]]:
-    """(name, observed error, default threshold) for every built-in check."""
-    checks: list[tuple[str, float, float]] = []
-    cheb_t = WeightSpec.chebyshev_t()
-    cheb_u = WeightSpec.chebyshev_u()
-    legendre = WeightSpec.legendre()
-
-    xs = np.arange(1, 100) / 100.0
-    err = max(abs(entropy_correction(x) - entropy_correction_series(x)) for x in xs)
-    checks.append(("correction_dual_route", err, 1e-12))
-    checks.append(
-        ("correction_half_value", abs(entropy_correction(0.5) - (2.0 * _LOG2 - 1.0)), 1e-12)
-    )
-
-    err = 0.0
-    for n in range(1, 41):
-        for j in range(1, n + 1):
-            err = max(
-                err,
-                abs(zero_entropy_first_kind(n, j) - zero_entropy_direct("first", n, j)),
-                abs(zero_entropy_second_kind(n, j) - zero_entropy_direct("second", n, j)),
-            )
-    checks.append(("zero_entropy_closed_forms", err, 1e-10))
-
-    err = 0.0
-    rec = weight_recurrence(cheb_t, 64)
-    for x in (-0.6, -0.1, 0.3, 0.7):
-        for n in (1, 2, 5, 17, 64):
-            dist = christoffel_distribution(rec, x, n)
-            err = max(err, abs(entropy_kernel_split(rec, x, n) - shannon_entropy(dist)))
-    checks.append(("entropy_split_identity", err, 1e-12))
-
-    for name, value in identity_suite(200, 199, 1000):
-        threshold = 0.0 if name == "convexity_margin" else 1e-10
-        checks.append((name, value, threshold))
-
-    err = 0.0
-    for k in range(2, 51):
-        closed = chebyshev_divergence_limit(k)
-        for s in range(1, k):
-            if math.gcd(s, k) == 1:
-                err = max(
-                    err, abs(limit_divergence(cheb_t, RationalAngle(s, k)) - closed)
-                )
-    checks.append(("divergence_limit_cross_route", err, 1e-10))
-
-    err = 0.0
-    for spec in ((0.0, 0.0, (0.0, 1.0)),
-                 (-0.5, -0.5, (0.0, 0.5, 0.25)),
-                 (0.5, -0.5, (0.0, 1.0))):
-        weight = WeightSpec(*spec)
-        rec = stieltjes_recurrence(weight, 31)
-        oracle = gauss_jacobi(weight.alpha, weight.beta, 150)
-        wh = oracle.weights * np.asarray(weight.h(oracle.nodes))
-        table = np.stack(
-            [eval_orthonormal(rec, float(t), 31) for t in oracle.nodes]
-        )
-        gram = table.T @ (wh[:, None] * table)
-        err = max(err, float(np.abs(gram - np.eye(31)).max()))
-    checks.append(("orthonormality", err, 1e-10))
-
-    err_ratio = 0.0
-    err_tail = 0.0
-    for weight in (cheb_t, cheb_u, legendre):
-        rec = weight_recurrence(weight, universality_n + 1)
-        for x in (0.0, 0.3, -0.3, 0.6, -0.6):
-            ratio, tail = christoffel_limit_ratios(weight, x, universality_n, rec)
-            err_ratio = max(err_ratio, abs(ratio - 1.0))
-            err_tail = max(err_tail, tail)
-    checks.append(("universality_ratio", err_ratio, 0.02))
-    checks.append(("universality_tail", err_tail, 0.01))
-
-    exp_weight = WeightSpec(0.0, 0.0, (0.0, 1.0))
-    err = max(
-        abs(phase_shift(exp_weight, theta) - 0.5 * math.sin(theta))
-        for theta in (0.3, 1.0, 1.9, 2.8)
-    )
-    checks.append(("phase_spectral_exp", err, 1e-10))
-
-    err = 0.0
-    for x in (-0.4, 0.2):
-        theta = math.acos(x)
-        recomposed = math.sin(theta) / (2.0 * math.pi) * pv_log_h_oracle(exp_weight, x)
-        err = max(err, abs(phase_shift(exp_weight, theta) - recomposed))
-    checks.append(("phase_pv_oracle", err, 1e-6))
-
-    err = 0.0
-    thetas = np.linspace(0.2, math.pi - 0.2, 9)
-    for n in (1, 2, 3, 5, 8, 40):
-        for theta in thetas:
-            x = math.cos(theta)
-            exact_t = math.sqrt(2.0 / math.pi) * math.cos(n * theta)
-            exact_u = math.sqrt(2.0 / math.pi) * math.sin((n + 1) * theta) / math.sin(theta)
-            err = max(
-                err,
-                abs(asymptotic_polynomial(cheb_t, n, x) - exact_t),
-                abs(asymptotic_polynomial(cheb_u, n, x) - exact_u),
-            )
-    checks.append(("chebyshev_asymptotics", err, 1e-12))
-
-    return checks
-
-
 def run_verify(config: RunConfig) -> int:
-    checks = _verify_checks(config.universality_n)
     lines = []
     results = []
     all_pass = True
-    for name, error, threshold in checks:
-        tol = config.tol if config.tol is not None else threshold
-        ok = error < tol
-        all_pass = all_pass and ok
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"{status} {name:30s} error={error: .3e} tol={tol:.3e}")
-        results.append({"name": name, "error": error, "tol": tol, "passed": ok})
+    scope = verify_scope(config.universality_n)
+    for check in CHECKS:
+        for name, error, threshold in check(scope):
+            tol = config.tol if config.tol is not None else threshold
+            ok = error < tol
+            all_pass = all_pass and ok
+            status = "PASS" if ok else "FAIL"
+            lines.append(f"{status} {name:30s} error={error: .3e} tol={tol:.3e}")
+            results.append({"name": name, "error": error, "tol": tol, "passed": ok})
     summary = f"verify: {sum(r['passed'] for r in results)}/{len(results)} checks passed"
     if config.fmt == "json":
         _emit(config, json.dumps({"checks": results, "passed": all_pass}, indent=2) + "\n")
@@ -580,10 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         elif config.command == "zeros":
             run_zeros(config)
         return 0
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (NumericError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

@@ -256,12 +256,14 @@ def weight_recurrence(weight: WeightSpec, n_max: int) -> RecurrenceCoefficients:
     if len(weight.logh_cheb) <= 1:
         rec = jacobi_recurrence(weight.alpha, weight.beta, n_max)
         if weight.logh_cheb and weight.logh_cheb[0] != 0.0:
+            c0 = weight.logh_cheb[0]
             try:
-                scale = math.exp(weight.logh_cheb[0])
-            except OverflowError as exc:
-                raise NumericError(
-                    f"constant log h = {weight.logh_cheb[0]} overflows the total mass"
-                ) from exc
+                scale = math.exp(c0)
+            except OverflowError:
+                scale = math.inf
+            # the Python-float product overflows to inf without a warning
+            if not math.isfinite(float(rec.b[0]) * scale):
+                raise NumericError(f"constant log h = {c0} overflows the total mass")
             rec = rec.scaled_mass(scale)
         return rec
     return stieltjes_recurrence(weight, n_max)

@@ -1,15 +1,20 @@
 """Acceptance suite.
 
 Each test pins one headline guarantee of the package at a fixed tolerance
-and prints a single PASS line (visible with ``pytest -s``); a failing
-guarantee fails its test.  Everything runs through the public API.
+and prints PASS lines (visible with ``pytest -s``); a failing guarantee
+fails its test.  The checks that ``orthoentropy verify`` also runs come
+from ``orthoentropy.checks``, here at its wider acceptance scope; tests
+05-07 have no ``verify`` counterpart.  Everything else runs through the
+public API.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 import orthoentropy as oe
+from orthoentropy.checks import ACCEPTANCE_SCOPE, CHECKS
 
 LOG2 = math.log(2.0)
 
@@ -23,56 +28,11 @@ def report(number: int, name: str, detail: str) -> None:
     print(f"ACCEPTANCE {number:02d} {name}: PASS ({detail})")
 
 
-def test_01_closed_form_exactness():
-    worst = 0.0
-    for n in range(1, 201):
-        for j in range(1, n + 1):
-            worst = max(
-                worst,
-                abs(oe.zero_entropy_first_kind(n, j) - oe.zero_entropy_direct("first", n, j)),
-                abs(oe.zero_entropy_second_kind(n, j) - oe.zero_entropy_direct("second", n, j)),
-            )
-    assert worst < 1e-10
-    report(1, "closed-form zero entropies", f"max |closed - direct| = {worst:.2e} < 1e-10")
-
-
-def test_02_correction_dual_route():
-    worst = 0.0
-    for i in range(1, 100):
-        x = i / 100.0
-        worst = max(worst, abs(oe.entropy_correction(x) - oe.entropy_correction_series(x)))
-    assert worst < 1e-12
-    half = abs(oe.entropy_correction(0.5) - (2.0 * LOG2 - 1.0))
-    assert half < 1e-12
-    report(2, "correction dual route", f"max route gap = {worst:.2e} < 1e-12, half-value err = {half:.2e}")
-
-
-def test_03_identity_suite():
-    results = dict(oe.identity_suite(even_k_max=200, odd_k_max=199, grid_points=1000))
-    for name in ("even_k_closed_form", "odd_k_closed_form", "odd_sine_sum", "odd_split_sum"):
-        assert results[name] < 1e-10, name
-    assert results["convexity_margin"] < 0.0
-    worst = max(results[n] for n in ("even_k_closed_form", "odd_k_closed_form",
-                                     "odd_sine_sum", "odd_split_sum"))
-    report(3, "identity suite", f"max identity error = {worst:.2e} < 1e-10, "
-           f"convexity margin = {results['convexity_margin']:.2e} < 0")
-
-
-def test_04_divergence_limit_cross_route():
-    worst = 0.0
-    base = 1.0 - LOG2
-    for k in range(2, 51):
-        closed = oe.chebyshev_divergence_limit(k)
-        if k % 2 == 0:
-            assert closed > base
-        else:
-            assert closed < base
-        for s in range(1, k):
-            if math.gcd(s, k) == 1:
-                via_average = oe.limit_divergence(CHEB_T, oe.RationalAngle(s, k))
-                worst = max(worst, abs(via_average - closed))
-    assert worst < 1e-10
-    report(4, "limit divergence cross-route", f"max route gap = {worst:.2e} < 1e-10, sign pattern exact")
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+def test_registry_check(check):
+    for name, observed, bound in check(ACCEPTANCE_SCOPE):
+        assert observed < bound, name
+        print(f"ACCEPTANCE {name}: PASS ({observed:.2e} < {bound:g})")
 
 
 def test_05_rational_convergence():
@@ -146,69 +106,3 @@ def test_07_zero_subsequence_gaps():
                 worst_excess = max(worst_excess, gap - bound)
     report(7, "zero-subsequence gaps", f"compatible families max |gap| = {max(final_gaps):.2e} < 0.01 "
            f"past n=1e3; odd-k gaps within {worst_excess:.2e} of the negative bound (< 0.01)")
-
-
-def test_08_kernel_universality():
-    worst_ratio = 0.0
-    worst_tail = 0.0
-    n = 4000
-    for _, weight in NAMED_WEIGHTS:
-        rec = oe.weight_recurrence(weight, n + 1)
-        for x in (0.0, 0.3, -0.3, 0.6, -0.6):
-            ratio, tail = oe.christoffel_limit_ratios(weight, x, n, rec)
-            assert 0.98 <= ratio <= 1.02, (weight, x)
-            assert tail < 0.01, (weight, x)
-            worst_ratio = max(worst_ratio, abs(ratio - 1.0))
-            worst_tail = max(worst_tail, tail)
-    report(8, "kernel universality", f"max |ratio - 1| = {worst_ratio:.2e} <= 0.02, "
-           f"max tail mass = {worst_tail:.2e} < 0.01 at n = 4000")
-
-
-def test_09_phase_and_asymptotics():
-    exp_weight = oe.WeightSpec(0.0, 0.0, (0.0, 1.0))
-    spectral = max(
-        abs(oe.phase_shift(exp_weight, theta) - 0.5 * math.sin(theta))
-        for theta in np.linspace(0.1, math.pi - 0.1, 25)
-    )
-    assert spectral < 1e-10
-
-    oracle = 0.0
-    for x in (-0.4, 0.2, 0.5):
-        theta = math.acos(x)
-        recomposed = math.sin(theta) / (2.0 * math.pi) * oe.pv_log_h_oracle(exp_weight, x)
-        oracle = max(oracle, abs(oe.phase_shift(exp_weight, theta) - recomposed))
-    assert oracle < 1e-6
-
-    cosine = 0.0
-    for n in (1, 2, 3, 5, 8, 40, 100):
-        for theta in np.linspace(0.2, math.pi - 0.2, 9):
-            x = math.cos(theta)
-            exact_t = math.sqrt(2.0 / math.pi) * math.cos(n * theta)
-            exact_u = math.sqrt(2.0 / math.pi) * math.sin((n + 1) * theta) / math.sin(theta)
-            cosine = max(
-                cosine,
-                abs(oe.asymptotic_polynomial(CHEB_T, n, x) - exact_t),
-                abs(oe.asymptotic_polynomial(CHEB_U, n, x) - exact_u),
-            )
-    assert cosine < 1e-12
-    report(9, "phase and bulk asymptotics", f"spectral err = {spectral:.2e} < 1e-10, "
-           f"excision oracle err = {oracle:.2e} < 1e-6, cosine form err = {cosine:.2e} < 1e-12")
-
-
-def test_10_generalized_weight_orthonormality():
-    worst = 0.0
-    for spec in ((0.0, 0.0, (0.0, 1.0)),
-                 (-0.5, -0.5, (0.0, 0.5, 0.25)),
-                 (0.5, -0.5, (0.0, 1.0))):
-        weight = oe.WeightSpec(*spec)
-        rec = oe.stieltjes_recurrence(weight, 31)
-        oracle = oe.gauss_jacobi(weight.alpha, weight.beta, 150)
-        wh = oracle.weights * np.asarray(weight.h(oracle.nodes))
-        table = np.stack(
-            [oe.eval_orthonormal(rec, float(t), 31) for t in oracle.nodes]
-        )
-        gram = table.T @ (wh[:, None] * table)
-        defect = float(np.abs(gram - np.eye(31)).max())
-        assert defect < 1e-10, spec
-        worst = max(worst, defect)
-    report(10, "generalized-weight orthonormality", f"max |gram - identity| = {worst:.2e} < 1e-10")

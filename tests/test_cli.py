@@ -1,8 +1,10 @@
 import json
 import math
+from unittest import mock
 
 import pytest
 
+from orthoentropy import asymptotics
 from orthoentropy.cli import main
 
 LOG2 = math.log(2.0)
@@ -117,7 +119,9 @@ class TestEntropyCommand:
         assert code == 3
         assert "numeric error" in err
 
-    @pytest.mark.parametrize("c0", ["800", "-800"])
+    # 709.5: exp(c0) is finite but the scaled mass is not
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c0", ["800", "-800", "709.5"])
     def test_large_constant_logh_exits_3(self, capsys, c0):
         code, out, err = run_cli(
             capsys, "entropy", f"--logh-coeffs={c0}", "--x", "0.2", "--n", "50",
@@ -165,6 +169,13 @@ class TestLimitCommand:
         assert row[1] == "irrational"
         assert abs(float(row[5]) - (1.0 - LOG2)) < 1e-15
         assert row[6] == ""
+
+    def test_rational_limit_computes_phase_shift_once(self, capsys, monkeypatch):
+        spy = mock.Mock(wraps=asymptotics.phase_shift)
+        monkeypatch.setattr(asymptotics, "phase_shift", spy)
+        code, _, _ = run_cli(capsys, "limit", "--angle", "1/3", "--logh-coeffs", "0,1")
+        assert code == 0
+        assert spy.call_count == 1
 
     def test_requires_angle(self, capsys):
         code, _, _ = run_cli(capsys, "limit")

@@ -47,6 +47,7 @@ CASES = {
     "entropy_x_json": (["entropy", "--x", "0.2", "--n-schedule", "3,7", "--format", "json"], 0),
     # at n = 200 the universality tail (1.005e-2) exceeds its 1e-2 bound: exit 1
     "verify": (["verify", "--n", "200"], 1),
+    "verify_json": (["verify", "--n", "200", "--format", "json"], 1),
 }
 
 
