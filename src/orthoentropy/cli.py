@@ -312,6 +312,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError("subsequence mode requires --angle or --theta")
             if args.count < 1:
                 raise ConfigError("--count must be >= 1")
+            try:  # one item checks the family against the angle
+                zero_subsequence(args.subsequence, angle, 1)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
             return RunConfig(command, weight, angle=angle, kind=kind,
                              family=args.subsequence, count=args.count,
                              fmt=args.fmt, out=args.out)

@@ -2,7 +2,8 @@
 
 Weight specifications, monic three-term recurrences (closed form for pure
 Jacobi, Stieltjes procedure for an analytic factor h), orthonormal
-evaluation, Christoffel functions, Gauss-Jacobi quadrature, and the exact
+evaluation, Christoffel functions, Gauss-Jacobi quadrature (Jacobi-matrix
+eigenvalues, one Newton step, Christoffel-number weights), and the exact
 Chebyshev zeros.  Recurrences and rules are immutable once built and all
 evaluations are pure, so everything is freely shareable across threads.
 """
@@ -14,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConvergenceError, NumericError
 
@@ -33,10 +34,6 @@ __all__ = [
 ]
 
 CHEBYSHEV_KINDS = ("first", "second")
-
-# Above this size Golub-Welsch eigenvectors get memory-hungry; switch to
-# eigenvalues plus a Newton polish with Christoffel-number weights.
-_NEWTON_SIZE_THRESHOLD = 10_000
 
 # Fewest nodes of the default Stieltjes rule.  At low degree the degree
 # count 2*n_max + ceil(M/2) + 8 leaves h under-resolved: for |c_m| <= 1 and
@@ -223,7 +220,9 @@ def stieltjes_recurrence(
         )
     rule = gauss_jacobi(weight.alpha, weight.beta, rule_size)
     t = rule.nodes
-    wh = rule.weights * np.asarray(weight.h(t))
+    # an h that overflows makes the mass inf, which the check below reports
+    with np.errstate(over="ignore"):
+        wh = rule.weights * np.asarray(weight.h(t))
 
     a = np.zeros(n_max)
     b = np.zeros(n_max)
@@ -261,9 +260,10 @@ def weight_recurrence(weight: WeightSpec, n_max: int) -> RecurrenceCoefficients:
                 scale = math.exp(c0)
             except OverflowError:
                 scale = math.inf
-            # the Python-float product overflows to inf without a warning
-            if not math.isfinite(float(rec.b[0]) * scale):
-                raise NumericError(f"constant log h = {c0} overflows the total mass")
+            # the Python-float product over- or underflows without a warning
+            if not 0.0 < float(rec.b[0]) * scale < math.inf:
+                flow = "overflows" if c0 > 0.0 else "underflows"
+                raise NumericError(f"constant log h = {c0} {flow} the total mass")
             rec = rec.scaled_mass(scale)
         return rec
     return stieltjes_recurrence(weight, n_max)
@@ -296,17 +296,17 @@ class QuadratureRule:
 
 def _orthonormal_scan(rec: RecurrenceCoefficients, n: int, x: np.ndarray):
     """Vectorized p_n, p_n' and sum_{k<n} p_k^2 at every point of x."""
-    a, b = rec.a, rec.b
-    sb = np.sqrt(b[: n + 1])
+    sb = np.sqrt(rec.b[: n + 1]).tolist()
     p_prev = np.zeros_like(x)
     d_prev = np.zeros_like(x)
     p = np.full_like(x, 1.0 / sb[0])
     d = np.zeros_like(x)
     ksum = p * p
-    for k in range(n):
+    for k, a_k in enumerate(rec.a[:n].tolist()):
         inv = 1.0 / sb[k + 1]
-        p_next = ((x - a[k]) * p - sb[k] * p_prev) * inv
-        d_next = (p + (x - a[k]) * d - sb[k] * d_prev) * inv
+        xa = x - a_k
+        p_next = (xa * p - sb[k] * p_prev) * inv
+        d_next = (p + xa * d - sb[k] * d_prev) * inv
         p_prev, p = p, p_next
         d_prev, d = d, d_next
         if k + 1 < n:
@@ -317,27 +317,20 @@ def _orthonormal_scan(rec: RecurrenceCoefficients, n: int, x: np.ndarray):
 def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
     """Gauss-Jacobi rule for the weight (1-x)^alpha * (1+x)^beta.
 
-    Golub-Welsch (symmetric tridiagonal eigenproblem) by default; beyond
-    _NEWTON_SIZE_THRESHOLD the nodes come from an eigenvalue-only solve
-    polished by Newton steps, with weights as Christoffel numbers.
+    Jacobi-matrix eigenvalues polished by one Newton step on p_size, with
+    the Christoffel numbers 1 / sum_{k<size} p_k^2 there as weights: O(size)
+    memory and relatively accurate weights (Hale & Townsend, SIAM J. Sci.
+    Comput. 35, 2013), where Golub-Welsch eigenvector weights are not.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     rec = jacobi_recurrence(alpha, beta, size + 1)
-    diag = rec.a[:size].copy()
-    off = np.sqrt(rec.b[1:size])
-    if size <= _NEWTON_SIZE_THRESHOLD:
-        try:
-            nodes, vecs = eigh_tridiagonal(diag, off)
-        except Exception as exc:
-            raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
-        weights = rec.b[0] * vecs[0, :] ** 2
-        return QuadratureRule(nodes, weights)
-
-    nodes = eigvalsh_tridiagonal(diag, off)
-    for _ in range(2):
-        p, dp, _ = _orthonormal_scan(rec, size, nodes)
-        nodes = nodes - p / dp
+    try:
+        nodes = eigvalsh_tridiagonal(rec.a[:size], np.sqrt(rec.b[1:size]))
+    except Exception as exc:
+        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+    p, dp, _ = _orthonormal_scan(rec, size, nodes)
+    nodes = nodes - p / dp
     _, _, ksum = _orthonormal_scan(rec, size, nodes)
     order = np.argsort(nodes)
     return QuadratureRule(nodes[order], 1.0 / ksum[order])

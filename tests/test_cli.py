@@ -108,16 +108,17 @@ class TestEntropyCommand:
         _, rows = parse_csv(out)
         assert float(rows[0][3]) >= 0.0
 
-    def test_numeric_failure_exits_3(self, capsys):
-        import numpy as np
-
-        with np.errstate(over="ignore"):
-            code, _, err = run_cli(
-                capsys, "entropy", "--alpha", "0", "--beta", "0",
-                "--logh-coeffs", "0,800", "--x", "0.2", "--n", "30",
-            )
+    # h overflows at one end of the interval: the Stieltjes mass is inf
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs", ["0,800", "0,-800"])
+    def test_numeric_failure_exits_3(self, capsys, coeffs):
+        code, _, err = run_cli(
+            capsys, "entropy", "--alpha", "0", "--beta", "0",
+            "--logh-coeffs", coeffs, "--x", "0.2", "--n", "30",
+        )
         assert code == 3
         assert "numeric error" in err
+        assert err.count("\n") == 1
 
     # 709.5: exp(c0) is finite but the scaled mass is not
     @pytest.mark.filterwarnings("error")
@@ -129,6 +130,7 @@ class TestEntropyCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("numeric error:") and err.count("\n") == 1
+        assert "constant log h" in err
 
 
 class TestScanCommand:
@@ -219,6 +221,20 @@ class TestZerosCommand:
     def test_subsequence_needs_angle(self, capsys):
         code, _, _ = run_cli(capsys, "zeros", "--kind", "U", "--subsequence", "4")
         assert code == 2
+
+    # family 1 needs an irrational angle, 2 an even denominator, 4 a rational angle
+    @pytest.mark.parametrize("family, angle", [
+        pytest.param("1", ["--angle", "1/3"], id="family1"),
+        pytest.param("2", ["--angle", "1/3"], id="family2"),
+        pytest.param("4", ["--theta", "1.0"], id="family4"),
+    ])
+    def test_family_angle_mismatch_is_config_error(self, capsys, family, angle):
+        code, out, err = run_cli(
+            capsys, "zeros", "--kind", "U", "--subsequence", family, *angle,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_bad_kind_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -7,6 +7,8 @@ alters any printed bit fails here.
 Regenerate them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the name of each file whose bytes it changed.
 """
 
 import sys
@@ -71,4 +73,8 @@ if __name__ == "__main__":
             code = main(list(argv))
         if code != expected_code:
             sys.exit(f"{name}: exit code {code}, expected {expected_code}")
-        (GOLDEN_DIR / f"{name}.out").write_text(buffer.getvalue(), encoding="utf-8")
+        path = GOLDEN_DIR / f"{name}.out"
+        text = buffer.getvalue()
+        if not path.exists() or path.read_text(encoding="utf-8") != text:
+            path.write_text(text, encoding="utf-8")
+            print(path.name)

@@ -1,13 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import orthoentropy.orthopoly as op
 from orthoentropy.entropy import christoffel_distribution
-from orthoentropy.errors import NumericError
+from orthoentropy.errors import ConvergenceError, NumericError
 from orthoentropy.orthopoly import (
     QuadratureRule,
     RecurrenceCoefficients,
@@ -38,6 +40,53 @@ def numpy_scalar_orthonormal(rec, x, n):
     for k in range(1, n - 1):
         vals[k + 1] = ((x - a[k]) * vals[k] - sb[k] * vals[k - 1]) / sb[k + 1]
     return vals
+
+
+def golub_welsch(alpha, beta, size):
+    """Gauss-Jacobi rule from the Jacobi matrix's eigenvalues and eigenvectors."""
+    rec = jacobi_recurrence(alpha, beta, size + 1)
+    nodes, vecs = eigh_tridiagonal(rec.a[:size], np.sqrt(rec.b[1:size]))
+    return QuadratureRule(nodes, rec.b[0] * vecs[0] ** 2)
+
+
+def mpmath_gauss_jacobi(alpha, beta, seeds):
+    """40-digit Gauss-Jacobi nodes and Christoffel weights, one Newton step from each seed.
+
+    Float seeds within ~1e-16 of the nodes come out accurate to ~1e-31.
+    The general recurrence formulas used need alpha + beta not in {0, -1}.
+    """
+    with mpmath.workdps(40):
+        al, be = mpmath.mpf(alpha), mpmath.mpf(beta)
+        ab = al + be
+        size = len(seeds)
+        mass = 2 ** (ab + 1) * mpmath.gamma(al + 1) * mpmath.gamma(be + 1) / mpmath.gamma(ab + 2)
+        # orthonormal recurrence: s[k+1] p_{k+1} = (x - a[k]) p_k - s[k] p_{k-1}
+        a = [(be * be - al * al) / ((2 * k + ab) * (2 * k + ab + 2)) for k in range(size)]
+        s = [mpmath.sqrt(mass)] + [
+            mpmath.sqrt(4 * k * (k + al) * (k + be) * (k + ab)
+                        / ((2 * k + ab) ** 2 * ((2 * k + ab) ** 2 - 1)))
+            for k in range(1, size + 1)
+        ]
+
+        def scan(x):
+            """p_size(x), p_size'(x) and sum_{k<size} p_k(x)^2."""
+            p_prev, p, d_prev, d, ksum = 0, 1 / s[0], 0, 0, 0
+            for k in range(size):
+                ksum += p * p
+                p_prev, p, d_prev, d = (
+                    p, ((x - a[k]) * p - s[k] * p_prev) / s[k + 1],
+                    d, (p + (x - a[k]) * d - s[k] * d_prev) / s[k + 1],
+                )
+            return p, d, ksum
+
+        nodes, weights = [], []
+        for seed in seeds:
+            x = mpmath.mpf(float(seed))
+            p, d, _ = scan(x)
+            x -= p / d
+            nodes.append(x)
+            weights.append(1 / scan(x)[2])
+        return nodes, weights
 
 
 def orthonormality_defect(weight: WeightSpec, rec, degree: int, oracle_size: int = 150):
@@ -233,20 +282,33 @@ class TestGaussJacobi:
             approx = float(np.sum(rule.weights * rule.nodes ** degree))
             assert abs(approx - exact) < 1e-13
 
-    def test_newton_branch_matches_golub_welsch(self, monkeypatch):
-        reference = gauss_jacobi(0.3, -0.2, 50)
-        monkeypatch.setattr(op, "_NEWTON_SIZE_THRESHOLD", 40)
+    def test_newton_branch_matches_golub_welsch(self):
+        reference = golub_welsch(0.3, -0.2, 50)
         newton = gauss_jacobi(0.3, -0.2, 50)
         assert np.abs(newton.nodes - reference.nodes).max() < 1e-12
         assert np.abs(newton.weights - reference.weights).max() < 1e-12
 
-    def test_newton_branch_chebyshev(self, monkeypatch):
-        monkeypatch.setattr(op, "_NEWTON_SIZE_THRESHOLD", 40)
+    def test_newton_branch_chebyshev(self):
         n = 64
         rule = gauss_jacobi(-0.5, -0.5, n)
         expected = np.sort([math.cos((2 * j - 1) * math.pi / (2 * n)) for j in range(1, n + 1)])
         assert np.abs(rule.nodes - expected).max() < 1e-13
         assert np.abs(rule.weights - math.pi / n).max() < 1e-13
+
+    def test_weights_relatively_accurate_against_mpmath(self):
+        # Golub-Welsch eigenvector weights miss by 1.7e-10 relative here
+        rule = gauss_jacobi(4.0, 0.0, 150)
+        nodes, weights = mpmath_gauss_jacobi(4.0, 0.0, rule.nodes)
+        assert max(abs(float(x - t)) for x, t in zip(rule.nodes, nodes)) < 1e-15
+        assert max(abs(float(w / v - 1)) for w, v in zip(rule.weights, weights)) < 1e-11
+
+    def test_eigensolver_failure_raises_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(op, "eigvalsh_tridiagonal", fail)
+        with pytest.raises(ConvergenceError):
+            gauss_jacobi(0.0, 0.0, 10)
 
     def test_quadrature_rule_validation(self):
         with pytest.raises(ValueError):
