@@ -135,7 +135,7 @@ def phase_shift(weight: WeightSpec, theta: float) -> float:
     base = 0.5 * ((weight.alpha + weight.beta) * theta - weight.alpha * math.pi)
     series = 0.0
     for m, c in enumerate(weight.logh_cheb):
-        if m >= 1 and c != 0.0:
+        if c != 0.0:
             series += c * math.sin(m * theta)
     return base + 0.5 * series
 

@@ -60,6 +60,11 @@ class WeightSpec:
     Chebyshev basis, log h(cos t) = sum_m c_m cos(m t).  Any finite list of
     finite coefficients makes h analytic and strictly positive on the
     interval, so positivity never needs a runtime check.
+
+    The Christoffel distribution does not change when the weight is
+    multiplied by a constant, so h is defined up to a constant factor:
+    ``log_h``, ``h`` and ``w`` omit c_0, which is kept in ``logh_cheb``
+    only so that the record round-trips.
     """
 
     alpha: float
@@ -107,24 +112,26 @@ class WeightSpec:
 
     @property
     def trivial_h(self) -> bool:
-        """True when h is identically 1."""
-        return all(c == 0.0 for c in self.logh_cheb)
+        """True when h is constant: every c_m with m >= 1 is 0."""
+        return all(c == 0.0 for c in self.logh_cheb[1:])
 
     def log_h(self, x):
+        """sum_{m >= 1} c_m T_m(x): log h without c_0, of zero Chebyshev mean."""
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        if self.logh_cheb:
+        if not self.trivial_h:
             tau = np.arccos(np.clip(x, -1.0, 1.0))
-            for m, c in enumerate(self.logh_cheb):
+            for m, c in enumerate(self.logh_cheb[1:], start=1):
                 if c != 0.0:
                     out = out + c * np.cos(m * tau)
         return _scalar_or_array(out)
 
     def h(self, x):
+        """exp(log_h(x)): h scaled so that c_0 = 0."""
         return _scalar_or_array(np.exp(np.asarray(self.log_h(x))))
 
     def w(self, x):
-        """Weight density at points of (-1, 1)."""
+        """Weight density at points of (-1, 1), with h scaled so that c_0 = 0."""
         x = np.asarray(x, dtype=float)
         out = (1.0 - x) ** self.alpha * (1.0 + x) ** self.beta * np.asarray(self.h(x))
         return _scalar_or_array(out)
@@ -134,7 +141,8 @@ class WeightSpec:
 class RecurrenceCoefficients:
     """Monic recurrence data: pi_{k+1} = (x - a[k]) pi_k - b[k] pi_{k-1}.
 
-    ``b[0]`` stores the total mass of the weight and every b is positive.
+    ``b[0]`` stores the total mass of the weight with c_0 = 0 (see
+    :class:`WeightSpec`) and every b is positive.
     Orthonormal values are generated on the fly from these coefficients,
     which keeps leading coefficients out of the arithmetic and avoids
     overflow at large degree.
@@ -161,12 +169,6 @@ class RecurrenceCoefficients:
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def scaled_mass(self, c: float) -> "RecurrenceCoefficients":
-        """Same recurrence with the total mass b[0] multiplied by c > 0."""
-        b = self.b.copy()
-        b[0] *= c
-        return RecurrenceCoefficients(self.n_max, self.a, b)
 
 
 def jacobi_recurrence(alpha: float, beta: float, n_max: int) -> RecurrenceCoefficients:
@@ -251,21 +253,13 @@ def stieltjes_recurrence(
 
 
 def weight_recurrence(weight: WeightSpec, n_max: int) -> RecurrenceCoefficients:
-    """Recurrence for ``weight``: closed form when h is constant, Stieltjes otherwise."""
-    if len(weight.logh_cheb) <= 1:
-        rec = jacobi_recurrence(weight.alpha, weight.beta, n_max)
-        if weight.logh_cheb and weight.logh_cheb[0] != 0.0:
-            c0 = weight.logh_cheb[0]
-            try:
-                scale = math.exp(c0)
-            except OverflowError:
-                scale = math.inf
-            # the Python-float product over- or underflows without a warning
-            if not 0.0 < float(rec.b[0]) * scale < math.inf:
-                flow = "overflows" if c0 > 0.0 else "underflows"
-                raise NumericError(f"constant log h = {c0} {flow} the total mass")
-            rec = rec.scaled_mass(scale)
-        return rec
+    """Recurrence for ``weight``: closed form when h is constant, Stieltjes otherwise.
+
+    c_0 never enters: a constant h gives the Jacobi recurrence, ``b[0]``
+    included, whatever its value.
+    """
+    if weight.trivial_h:
+        return jacobi_recurrence(weight.alpha, weight.beta, n_max)
     return stieltjes_recurrence(weight, n_max)
 
 

@@ -109,7 +109,6 @@ class TestEntropyCommand:
         assert float(rows[0][3]) >= 0.0
 
     # h overflows at one end of the interval: the Stieltjes mass is inf
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("coeffs", ["0,800", "0,-800"])
     def test_numeric_failure_exits_3(self, capsys, coeffs):
         code, _, err = run_cli(
@@ -120,17 +119,21 @@ class TestEntropyCommand:
         assert "numeric error" in err
         assert err.count("\n") == 1
 
-    # 709.5: exp(c0) is finite but the scaled mass is not
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("c0", ["800", "-800", "709.5"])
-    def test_large_constant_logh_exits_3(self, capsys, c0):
-        code, out, err = run_cli(
-            capsys, "entropy", f"--logh-coeffs={c0}", "--x", "0.2", "--n", "50",
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("numeric error:") and err.count("\n") == 1
-        assert "constant log h" in err
+    # c_0 only scales h, so any constant log h prints the h = 1 rows
+    @pytest.mark.parametrize("c0", ["-800", "-740", "709.5", "800"])
+    def test_constant_logh_prints_unit_h_rows(self, capsys, c0):
+        argv = ["entropy", "--x", "0.2", "--n", "50"]
+        code, out, err = run_cli(capsys, *argv, f"--logh-coeffs={c0}")
+        assert code == 0
+        assert err == ""
+        assert out == run_cli(capsys, *argv)[1]
+
+    def test_zero_logh_coeffs_match_no_h(self, capsys):
+        argv = ["entropy", "--alpha=0.3", "--beta=-0.4", "--x-grid=-0.6:0.6:0.3",
+                "--n-schedule", "5,40"]
+        code, out, _ = run_cli(capsys, *argv, "--logh-coeffs", "0,0")
+        assert code == 0
+        assert out == run_cli(capsys, *argv)[1]
 
 
 class TestScanCommand:
@@ -178,6 +181,14 @@ class TestLimitCommand:
         code, _, _ = run_cli(capsys, "limit", "--angle", "1/3", "--logh-coeffs", "0,1")
         assert code == 0
         assert spy.call_count == 1
+
+    def test_constant_h_keeps_chebyshev_closed_form(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "limit", "--angle", "1/3", "--alpha=-0.5", "--beta=-0.5",
+            "--logh-coeffs", "0.3",
+        )
+        assert code == 0
+        assert out == run_cli(capsys, "limit", "--angle", "1/3")[1]
 
     def test_requires_angle(self, capsys):
         code, _, _ = run_cli(capsys, "limit")

@@ -24,6 +24,7 @@ from orthoentropy.entropy import (
     zero_entropy_second_kind,
 )
 from orthoentropy.orthopoly import (
+    RecurrenceCoefficients,
     WeightSpec,
     chebyshev_zero,
     jacobi_recurrence,
@@ -79,7 +80,9 @@ class TestChristoffelDistribution:
                     assert np.all(dist.probs <= 1.0)
 
     def test_normalization_independence(self):
-        scaled = LEGENDRE_REC.scaled_mass(7.0)
+        b7 = LEGENDRE_REC.b.copy()
+        b7[0] *= 7.0
+        scaled = RecurrenceCoefficients(LEGENDRE_REC.n_max, LEGENDRE_REC.a, b7)
         for n in (1, 3, 20):
             a = christoffel_distribution(LEGENDRE_REC, 0.37, n).probs
             b = christoffel_distribution(scaled, 0.37, n).probs
