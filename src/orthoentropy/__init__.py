@@ -55,7 +55,6 @@ from .orthopoly import (
 )
 from .specfun import (
     EULER_GAMMA,
-    SeriesTolerance,
     digamma,
     entropy_correction,
     entropy_correction_series,

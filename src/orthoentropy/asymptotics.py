@@ -34,7 +34,6 @@ from .orthopoly import (
     WeightSpec,
     _require_kind,
     eval_orthonormal,
-    weight_recurrence,
 )
 from .specfun import entropy_correction
 
@@ -140,35 +139,26 @@ def phase_shift(weight: WeightSpec, theta: float) -> float:
     return base + 0.5 * series
 
 
-_DEFAULT_EPSILONS = tuple(0.2 * 0.5 ** i for i in range(8))
+_EXCISION_RATIO = 2.0
+_EXCISION_RADII = tuple(0.2 / _EXCISION_RATIO ** i for i in range(8))
+# largest gap allowed between the last two extrapolated estimates
+_EXTRAPOLATION_TOL = 1e-7
 
 
-def pv_log_h_oracle(
-    weight: WeightSpec,
-    x: float,
-    epsilons: Sequence[float] | None = None,
-    check_tol: float = 1e-7,
-) -> float:
+def pv_log_h_oracle(weight: WeightSpec, x: float) -> float:
     """Principal value of the integral of log h(t) / (sqrt(1-t^2) (t-x)).
 
-    Brute-force evaluation: excise (x - eps, x + eps) symmetrically for a
-    geometric schedule of radii, integrate each piece adaptively after the
-    substitution t = cos(tau), then Richardson-extrapolate in the odd
-    powers of eps.  Test oracle for :func:`phase_shift`; slow by design.
+    Brute-force evaluation: excise (x - eps, x + eps) symmetrically for
+    the radii eps = 0.2 * 2^-i, i < 8, integrate each piece adaptively
+    after the substitution t = cos(tau), then Richardson-extrapolate in
+    the odd powers of eps.  Test oracle for :func:`phase_shift`; slow by
+    design, and defined for |x| < 0.8.
     """
     if not -1.0 < x < 1.0:
         raise ValueError(f"x must lie in (-1, 1), got {x}")
-    eps = tuple(float(e) for e in (_DEFAULT_EPSILONS if epsilons is None else epsilons))
-    if len(eps) < 3:
-        raise ValueError("need at least 3 excision radii")
-    if any(e <= 0.0 for e in eps):
-        raise ValueError("excision radii must be positive")
-    ratios = [eps[i] / eps[i + 1] for i in range(len(eps) - 1)]
-    ratio = ratios[0]
-    if ratio <= 1.0 or any(abs(r - ratio) > 1e-9 * ratio for r in ratios):
-        raise ValueError("excision radii must decrease geometrically")
-    if x + eps[0] >= 1.0 or x - eps[0] <= -1.0:
-        raise ValueError("largest excision radius reaches the endpoints; shrink it")
+    largest = _EXCISION_RADII[0]
+    if x + largest >= 1.0 or x - largest <= -1.0:
+        raise ValueError(f"the excision radius {largest} reaches an endpoint from x = {x}")
 
     def integrand(tau: float) -> float:
         c = math.cos(tau)
@@ -182,12 +172,12 @@ def pv_log_h_oracle(
         return right + left
 
     # Neville tableau removing the odd error powers eps, eps^3, eps^5, ...
-    diag = [excised(e) for e in eps]
-    for m in range(1, len(eps)):
-        factor = ratio ** (2 * m - 1) - 1.0
-        for i in range(len(eps) - 1, m - 1, -1):
+    diag = [excised(e) for e in _EXCISION_RADII]
+    for m in range(1, len(diag)):
+        factor = _EXCISION_RATIO ** (2 * m - 1) - 1.0
+        for i in range(len(diag) - 1, m - 1, -1):
             diag[i] = diag[i] + (diag[i] - diag[i - 1]) / factor
-    if abs(diag[-1] - diag[-2]) > check_tol:
+    if abs(diag[-1] - diag[-2]) > _EXTRAPOLATION_TOL:
         raise ConvergenceError(
             "excision extrapolation did not stabilize: last two estimates "
             f"differ by {abs(diag[-1] - diag[-2]):.3e}"
@@ -277,21 +267,16 @@ def asymptotic_polynomial(weight: WeightSpec, n: int, x: float) -> float:
 
 
 def christoffel_limit_ratios(
-    weight: WeightSpec,
-    x: float,
-    n: int,
-    rec: RecurrenceCoefficients | None = None,
+    weight: WeightSpec, x: float, n: int, rec: RecurrenceCoefficients
 ) -> tuple[float, float]:
     """Kernel-limit diagnostics at x: the pair
     (n * lambda_n(x) / (pi w(x) sqrt(1-x^2)), lambda_n(x) * p_n(x)^2).
 
-    The first component tends to 1 and the second to 0 as n grows.  Pass a
-    prebuilt recurrence with n_max >= n + 1 to amortize construction.
+    The first component tends to 1 and the second to 0 as n grows.  ``rec``
+    is the recurrence of ``weight`` with n_max >= n + 1.
     """
     if not -1.0 < x < 1.0:
         raise ValueError(f"x must lie in (-1, 1), got {x}")
-    if rec is None:
-        rec = weight_recurrence(weight, n + 1)
     vals = eval_orthonormal(rec, x, n + 1)
     head = vals[:n]
     lam = 1.0 / float(np.dot(head, head))
@@ -395,21 +380,19 @@ def zero_entropy_gaps(
     return gaps
 
 
-def identity_suite(
-    even_k_max: int = 200, odd_k_max: int = 199, grid_points: int = 1000
-) -> list[tuple[str, float]]:
+def identity_suite() -> list[tuple[str, float]]:
     """Evaluate both sides of the averaged-entropy identities independently.
 
     Returns (name, discrepancy) pairs where each discrepancy is a maximum
-    over the scanned range.  All entries except the last are absolute
-    errors of exact identities; "convexity_margin" is the signed maximum
-    of correction(x/2) - correction(x)/2 over a grid in (0, 1) and must be
-    negative.
+    over even k <= 200 or odd k <= 199.  All entries except the last are
+    absolute errors of exact identities; "convexity_margin" is the signed
+    maximum of correction(x/2) - correction(x)/2 over 1000 interior points
+    of an even grid on (0, 1) and must be negative.
     """
     cheb_t = WeightSpec.chebyshev_t()
 
     err_even = 0.0
-    for k in range(2, even_k_max + 1, 2):
+    for k in range(2, 201, 2):
         lhs = 2.0 * phase_average(cheb_t, RationalAngle(1, k))
         rhs = 1.0 - 2.0 * _LOG2 + entropy_correction(1.0 / k)
         err_even = max(err_even, abs(lhs - rhs))
@@ -417,7 +400,7 @@ def identity_suite(
     err_odd = 0.0
     err_sine = 0.0
     err_split = 0.0
-    for k in range(3, odd_k_max + 1, 2):
+    for k in range(3, 200, 2):
         average = phase_average(cheb_t, RationalAngle(1, k))
         rhs = 0.5 - _LOG2 + entropy_correction(0.5 / k) - 0.5 * entropy_correction(1.0 / k)
         err_odd = max(err_odd, abs(average - rhs))
@@ -431,7 +414,7 @@ def identity_suite(
         split = 2.0 * half_cos_sum - sine_sum
         err_split = max(err_split, abs(average - split))
 
-    xs = np.linspace(0.0, 1.0, grid_points + 2)[1:-1]
+    xs = np.linspace(0.0, 1.0, 1002)[1:-1]
     margin = max(
         entropy_correction(0.5 * x) - 0.5 * entropy_correction(x) for x in xs
     )

@@ -109,7 +109,7 @@ def identity_suite(scope: Scope) -> list[Row]:
     """The averaged-entropy identities; the convexity margin must be negative."""
     return [
         (name, value, 0.0 if name == "convexity_margin" else 1e-10)
-        for name, value in _identity_suite(200, 199, 1000)
+        for name, value in _identity_suite()
     ]
 
 

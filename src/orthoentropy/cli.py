@@ -55,7 +55,6 @@ class RunConfig:
     family: int | None = None
     count: int | None = None
     fmt: str = "csv"
-    tol: float | None = None
     out: str | None = None
     universality_n: int = 4000
 
@@ -123,8 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
 
     p = sub.add_parser("verify", help="run the built-in identity and limit checks")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override every check threshold with this value")
     p.add_argument("--n", type=int, default=4000, help="degree for the kernel-limit checks")
     _add_output_args(p)
 
@@ -257,15 +254,12 @@ def _check_xs(xs) -> tuple[float, ...]:
 def build_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     if command == "verify":
-        if args.tol is not None and not args.tol > 0.0:
-            raise ConfigError("--tol must be positive")
         if args.n < 64:
             raise ConfigError("--n must be >= 64 for the kernel-limit checks")
         return RunConfig(
             command=command,
             weight=WeightSpec.chebyshev_t(),
             fmt=args.fmt,
-            tol=args.tol,
             out=args.out,
             universality_n=args.n,
         )
@@ -435,8 +429,7 @@ def run_verify(config: RunConfig) -> int:
     all_pass = True
     scope = verify_scope(config.universality_n)
     for check in CHECKS:
-        for name, error, threshold in check(scope):
-            tol = config.tol if config.tol is not None else threshold
+        for name, error, tol in check(scope):
             ok = error < tol
             all_pass = all_pass and ok
             status = "PASS" if ok else "FAIL"

@@ -15,6 +15,7 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConvergenceError, NumericError
@@ -35,11 +36,11 @@ __all__ = [
 
 CHEBYSHEV_KINDS = ("first", "second")
 
-# Fewest nodes of the default Stieltjes rule.  At low degree the degree
-# count 2*n_max + ceil(M/2) + 8 leaves h under-resolved: for |c_m| <= 1 and
-# n_max <= 30 such rules missed a large-rule entropy by up to 2e-5, where
-# 64 nodes agree with it to 1e-14.
-_STIELTJES_MIN_RULE = 64
+# h's Chebyshev coefficients count down to this multiple of the largest
+# one, widened by max|log h| for the rounding of exp; h is sampled at 64,
+# 128, ... Chebyshev points, fewer than _H_SAMPLES_MAX.
+_H_CHOP = 16.0 * np.finfo(float).eps
+_H_SAMPLES_MAX = 2 ** 14
 
 
 def _require_kind(kind: str) -> str:
@@ -130,6 +131,30 @@ class WeightSpec:
         """exp(log_h(x)): h scaled so that c_0 = 0."""
         return _scalar_or_array(np.exp(np.asarray(self.log_h(x))))
 
+    def h_degree(self) -> int:
+        """Degree at which the Chebyshev series of h falls to rounding level.
+
+        Read off a DCT of h at m Chebyshev points, with m doubled from 64
+        until the degree is below m/2.  Raises NumericError when h is not
+        finite at a sample point or the degree reaches 2^12.
+        """
+        m = 64
+        while m < _H_SAMPLES_MAX:
+            log_h = np.asarray(self.log_h(np.cos((np.arange(m) + 0.5) * math.pi / m)))
+            with np.errstate(over="ignore"):
+                h = np.exp(log_h)
+            if not np.all(np.isfinite(h)):
+                raise NumericError(
+                    f"h = exp(log h) overflows: log h reaches {log_h.max():.6g}"
+                )
+            coeffs = np.abs(dct(h / h.max(), type=2))
+            cut = _H_CHOP * max(1.0, float(np.abs(log_h).max())) * coeffs.max()
+            degree = int(np.flatnonzero(coeffs > cut)[-1])
+            if 2 * degree < m:
+                return degree
+            m *= 2
+        raise NumericError(f"h needs a Chebyshev degree of {_H_SAMPLES_MAX // 4} or more")
+
     def w(self, x):
         """Weight density at points of (-1, 1), with h scaled so that c_0 = 0."""
         x = np.asarray(x, dtype=float)
@@ -206,16 +231,13 @@ def stieltjes_recurrence(
 
     Inner products use a Gauss rule for the bare Jacobi part with h folded
     into the integrand, so the endpoint singularities never meet the rule.
-    The default rule size max(64, 2*n_max + ceil(M/2) + 8) makes products
-    of degree up to 2*n_max + M near-exact and resolves h at low degree;
-    raise ``rule_size`` if construction fails.
+    The default rule has 2*n_max + d_h + 16 nodes, with d_h from
+    :meth:`WeightSpec.h_degree`; ``rule_size`` overrides it.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if rule_size is None:
-        rule_size = max(
-            _STIELTJES_MIN_RULE, 2 * n_max + (len(weight.logh_cheb) + 1) // 2 + 8
-        )
+        rule_size = 2 * n_max + weight.h_degree() + 16
     if rule_size < n_max:
         raise ValueError(
             f"rule_size {rule_size} cannot resolve degree {n_max - 1} orthogonality"
@@ -242,9 +264,8 @@ def stieltjes_recurrence(
             b_next = float(np.sum(wh * r * r))
             if not (math.isfinite(b_next) and b_next > 0.0):
                 raise NumericError(
-                    f"Stieltjes coefficient b[{k + 1}] came out nonpositive; the "
-                    f"rule of size {rule_size} under-resolves the weight, retry "
-                    "with a larger rule_size"
+                    f"Stieltjes coefficient b[{k + 1}] came out nonpositive: "
+                    f"the {rule_size}-node Gauss rule under-resolves the weight"
                 )
             b[k + 1] = b_next
             sqrt_b = math.sqrt(b_next)

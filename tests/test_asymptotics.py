@@ -100,12 +100,10 @@ class TestPvOracle:
             assert abs(phase_shift(weight, theta) - recomposed) < 1e-8
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            pv_log_h_oracle(EXP_WEIGHT, 0.0, epsilons=(0.1, 0.09, 0.088))
-        with pytest.raises(ValueError):
-            pv_log_h_oracle(EXP_WEIGHT, 0.95)
-        with pytest.raises(ValueError):
-            pv_log_h_oracle(EXP_WEIGHT, 0.0, epsilons=(0.1, 0.05))
+        # the largest excision radius, 0.2, must stay inside (-1, 1)
+        for x in (0.95, -0.8):
+            with pytest.raises(ValueError):
+                pv_log_h_oracle(EXP_WEIGHT, x)
 
 
 class TestPhaseAverage:
@@ -389,7 +387,7 @@ class TestZeroEntropyGaps:
 
 class TestIdentitySuite:
     def test_small_caps(self):
-        results = dict(identity_suite(even_k_max=40, odd_k_max=39, grid_points=200))
+        results = dict(identity_suite())
         assert results["even_k_closed_form"] < 1e-11
         assert results["odd_k_closed_form"] < 1e-11
         assert results["odd_sine_sum"] < 1e-11

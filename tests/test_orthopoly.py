@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import iv
 
 import orthoentropy.orthopoly as op
 from orthoentropy.entropy import christoffel_distribution
@@ -115,6 +116,21 @@ class TestWeightSpec:
         assert WeightSpec(0.0, 0.0, (0.0, 0.0)).trivial_h
         assert not WeightSpec(0.0, 0.0, (0.0, 1.0)).trivial_h
 
+    def test_h_degree(self):
+        assert CHEB_T.h_degree() == 0
+        # exp(x) = I_0(1) + 2 sum_k I_k(1) T_k(x): the degree is the last k
+        # with I_k(1) above 16 eps I_0(1)
+        ks = np.arange(40)
+        expected = ks[iv(ks, 1.0) > 16.0 * np.finfo(float).eps * iv(0, 1.0)][-1]
+        assert WeightSpec(0.0, 0.0, (0.0, 1.0)).h_degree() == expected
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 800.0), (0.0,) * 5000 + (1.0,)],
+                             ids=["overflow", "degree_cap"])
+    def test_h_degree_raises_numeric_error(self, coeffs):
+        # h overflows, or exp(cos(5000 t)) needs a degree far above 4096
+        with pytest.raises(NumericError):
+            WeightSpec(0.0, 0.0, coeffs).h_degree()
+
 
 class TestJacobiRecurrence:
     def test_chebyshev_first_kind(self):
@@ -181,7 +197,8 @@ class TestStieltjes:
             stieltjes_recurrence(WeightSpec(0.0, 0.0, (0.0, 1.0)), 30, rule_size=10)
 
     def test_default_rule_resolves_h_at_low_degree(self):
-        # 2n + ceil(M/2) + 8 = 23 nodes missed the reference here by 5.5e-9
+        # the default rule has 2n + d_h + 16 = 82 nodes here (d_h = 54); the
+        # former 2n + ceil(M/2) + 8 = 23 nodes missed the reference by 5.5e-9
         weight = WeightSpec(-0.5803, -0.2883, (0.9009, -0.9676, 0.9727, -0.042, 0.9739))
         x = -0.6939
         default = stieltjes_recurrence(weight, 6)
@@ -191,12 +208,23 @@ class TestStieltjes:
             - christoffel_distribution(reference, x, 6).shannon
         ) < 1e-12
 
-    def test_rule_floor_leaves_larger_default_rules_alone(self):
-        weight = WeightSpec(0.0, 0.0, (0.0, 1.0))
-        default = stieltjes_recurrence(weight, 31)
-        explicit = stieltjes_recurrence(weight, 31, rule_size=2 * 31 + 1 + 8)
-        assert np.array_equal(default.a, explicit.a)
-        assert np.array_equal(default.b, explicit.b)
+    def test_default_rule_resolves_large_logh_coeffs(self):
+        # log h of total size |c| = 40..700 spans up to e^1400: a rule sized
+        # by the number of coefficients was off by O(1) here
+        rng = np.random.default_rng(7)
+        for size in (40.0, 150.0, 400.0, 700.0):
+            direction = rng.uniform(-1.0, 1.0, rng.integers(1, 4))
+            coeffs = (0.0,) + tuple(size * direction / np.abs(direction).sum())
+            for alpha, beta in ((0.0, 0.0), (-0.99, 0.5)):
+                weight = WeightSpec(alpha, beta, coeffs)
+                for n in (6, 120):
+                    default = stieltjes_recurrence(weight, n)
+                    reference = stieltjes_recurrence(weight, n, rule_size=2 * n + 1500)
+                    for x in (0.3, -0.7, 0.95):
+                        assert abs(
+                            christoffel_distribution(default, x, n).shannon
+                            - christoffel_distribution(reference, x, n).shannon
+                        ) < 1e-10
 
     def test_overflowing_h_raises_numeric_error(self):
         # h = exp(800 x) overflows the quadrature mass outright

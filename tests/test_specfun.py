@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from orthoentropy.errors import ToleranceError
 from orthoentropy.specfun import (
     EULER_GAMMA,
-    SeriesTolerance,
     digamma,
     entropy_correction,
     entropy_correction_series,
@@ -131,16 +130,20 @@ class TestEntropyCorrection:
 
     def test_series_at_zero(self):
         assert entropy_correction_series(0.0) == 0.0
+        # the first term underflows to 0, which ends the sum
+        assert entropy_correction_series(1e-300) == 0.0
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-5, 1e-3])
+    def test_series_relatively_accurate_at_small_x(self, x):
+        xm = mpmath.mpf(x)
+        exact = -xm * (mpmath.digamma(1 - xm) + 2 * mpmath.euler + mpmath.digamma(1 + xm))
+        value = entropy_correction_series(x)
+        assert abs((value - exact) / exact) < 1e-13
 
     def test_series_truncation_error(self):
+        # the terms shrink by x^2 = 0.999 per step: more than 20000 are needed
         with pytest.raises(ToleranceError):
-            entropy_correction_series(0.9, SeriesTolerance(tol=1e-30, max_terms=5))
-
-    def test_series_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            SeriesTolerance(tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesTolerance(max_terms=0)
+            entropy_correction_series(0.9995)
 
 
 class TestEntropyIntegrand:
