@@ -33,6 +33,7 @@ from .entropy import (
     chebyshev_distribution_entropy,
     christoffel_distribution,
     christoffel_entropies,
+    christoffel_entropy_grid,
     entropy_kernel_split,
     kl_divergence,
     shannon_entropy,

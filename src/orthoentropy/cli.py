@@ -30,6 +30,7 @@ from .checks import CHECKS, verify_scope
 from .entropy import (
     EntropyReport,
     christoffel_entropies,
+    christoffel_entropy_grid,
     csv_line,
     zero_entropy_direct,
     zero_entropy_first_kind,
@@ -372,13 +373,19 @@ def run_entropy(config: RunConfig) -> None:
     if config.angle is not None:
         d_inf = limit_divergence(config.weight, config.angle)
     ns = sorted(config.ns)
+    xs = sorted(config.xs)
+    # a grid streams its sums over all points at once; one point keeps the
+    # scalar pass, which is faster there
+    if len(xs) > 1:
+        table = christoffel_entropy_grid(rec, xs, ns).tolist()
+    else:
+        table = [[shannon] for shannon in christoffel_entropies(rec, xs[0], ns)]
     reports = []
-    for x in sorted(config.xs):
-        for n, shannon in zip(ns, christoffel_entropies(rec, x, ns)):
+    for n, shannons in zip(ns, table):
+        for x, shannon in zip(xs, shannons):
             divergence = math.log(n) - shannon
             gap = None if d_inf is None else divergence - d_inf
             reports.append(EntropyReport(n, x, shannon, divergence, d_inf, gap))
-    reports.sort(key=lambda r: (r.n, r.x))
     _emit_rows(config, reports)
 
 

@@ -5,6 +5,9 @@ p_{j-1}(x)^2, which sums to 1 by the definition of the Christoffel
 function and does not depend on how the weight is normalized.  For both
 Chebyshev weights the entropy at a zero of p_n has an exact closed form
 in terms of the entropy-correction function and an integer gcd.
+
+One point is reduced by direct summation of its normalized cells; a grid
+of points streams compensated sums over one vector recurrence.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .orthopoly import RecurrenceCoefficients, _require_kind, eval_orthonormal
+from .errors import NumericError
+from .orthopoly import RecurrenceCoefficients, _forward, _require_kind, eval_orthonormal
 from .specfun import entropy_correction
 
 __all__ = [
@@ -25,6 +29,7 @@ __all__ = [
     "chebyshev_distribution_entropy",
     "christoffel_distribution",
     "christoffel_entropies",
+    "christoffel_entropy_grid",
     "csv_line",
     "entropy_kernel_split",
     "format_float",
@@ -36,6 +41,12 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+# log 2 = _LN2_HI + _LN2_LO; the last 20 bits of _LN2_HI are zero, so
+# j * _LN2_HI is exact for every binary exponent j of a double
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+# rows of p_k(x)^2 that the grid path reduces at a time
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -73,16 +84,24 @@ def _interior_values(rec: RecurrenceCoefficients, x: float, n: int) -> np.ndarra
     return eval_orthonormal(rec, x, n)
 
 
-def _normalized_squares(vals: np.ndarray) -> DiscreteDistribution:
-    sq = vals * vals
-    return DiscreteDistribution(sq / sq.sum())
+def _overflow(x: float, n: int) -> NumericError:
+    return NumericError(f"p_k(x)^2 overflows at x = {x!r} for some k < {n}")
+
+
+def _normalized_squares(vals: np.ndarray, x: float) -> DiscreteDistribution:
+    with np.errstate(over="ignore"):
+        sq = vals * vals
+        total = sq.sum()
+    if not np.isfinite(total):
+        raise _overflow(x, vals.size)
+    return DiscreteDistribution(sq / total)
 
 
 def christoffel_distribution(
     rec: RecurrenceCoefficients, x: float, n: int
 ) -> DiscreteDistribution:
     """Distribution with cells proportional to p_0(x)^2, ..., p_{n-1}(x)^2."""
-    return _normalized_squares(_interior_values(rec, x, n))
+    return _normalized_squares(_interior_values(rec, x, n), x)
 
 
 def christoffel_entropies(
@@ -94,12 +113,88 @@ def christoffel_entropies(
     distribution is built from the first n values exactly as
     ``christoffel_distribution`` builds it, so each entropy carries the
     same bits as ``shannon_entropy(christoffel_distribution(rec, x, n))``.
-    Memory is O(max(ns)).
+    Memory is O(max(ns)).  This is the single-point route; a grid of
+    points goes through :func:`christoffel_entropy_grid`.  Raises
+    NumericError when some p_k(x)^2 overflows.
     """
     if not ns or min(ns) < 1:
         raise ValueError(f"sizes must be a nonempty list of positive integers, got {ns}")
     vals = _interior_values(rec, x, max(ns))
-    return [shannon_entropy(_normalized_squares(vals[:n])) for n in ns]
+    return [shannon_entropy(_normalized_squares(vals[:n], x)) for n in ns]
+
+
+def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
+    """total + comp += term in place, with Neumaier's compensation."""
+    s = total + term
+    comp += np.where(np.abs(total) >= np.abs(term), (total - s) + term, (term - s) + total)
+    total[...] = s
+
+
+def christoffel_entropy_grid(
+    rec: RecurrenceCoefficients, xs: Sequence[float], ns: Sequence[int]
+) -> np.ndarray:
+    """Entropies at every point of ``xs`` (columns) for every n in ``ns`` (rows).
+
+    One :func:`_forward` pass to max(ns) runs over all points at once and
+    streams K = sum p_k^2 and S = sum p_k^2 log(p_k^2 / 2^e).  The squares
+    of up to ``_BLOCK`` steps are reduced together (``xlogy``, so
+    0 log 0 = 0), and each block sum is added to K and S with Neumaier's
+    compensated summation.  The entropy log(K / 2^e) - S/K is read off at
+    each n, with K / 2^e = m 2^j and log 2 split in two, so that only
+    log(m) and S/K are rounded before the last addition.  Memory is
+    O(len(xs) * _BLOCK), with no table of values.
+
+    The exact scale 2^e follows the running mean of p_k^2: after a block
+    whose mean has a binary exponent more than 2 away from e, e moves
+    there and S -= K (e_new - e) log 2.  Without it log K and S/K would
+    cancel where p^2 is large, near an endpoint of a heavy weight.
+
+    The values p_k(x) are those of :func:`eval_orthonormal` bit for bit;
+    only the reduction differs from ``christoffel_entropies``, which stays
+    the single-point route.  Raises NumericError when K or S is not finite,
+    or K is not positive, at some point and n: some p_k(x)^2 (or p_k(x)^2
+    log p_k(x)^2) overflowed, since K >= p_0^2 = 1 / b[0] > 0 otherwise.
+    """
+    x = np.array(xs, dtype=float)
+    if x.ndim != 1 or x.size == 0 or not np.all((-1.0 < x) & (x < 1.0)):
+        raise ValueError(f"points must be a nonempty list in (-1, 1), got {xs}")
+    if not ns or min(ns) < 1 or list(ns) != sorted(set(ns)):
+        raise ValueError(f"sizes must be strictly increasing positive integers, got {ns}")
+    if ns[-1] > rec.n_max:
+        raise ValueError(f"sizes must not exceed {rec.n_max}, got {ns[-1]}")
+    out = np.empty((len(ns), x.size))
+    k_sum, k_comp, s_sum, s_comp = (np.zeros_like(x) for _ in range(4))
+    exponent = np.zeros(x.size, dtype=int)
+    block = np.empty((_BLOCK, x.size))
+    filled = 0
+    row = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (p, _) in enumerate(_forward(rec, x, ns[-1])):
+            np.multiply(p, p, out=block[filled])
+            filled += 1
+            if filled < _BLOCK and k + 1 < ns[row]:
+                continue
+            sq = block[:filled]
+            filled = 0
+            block_sum = sq.sum(axis=0)
+            kernel = k_sum + k_comp
+            mean_exponent = np.frexp((kernel + block_sum) / (k + 1))[1]
+            new_exponent = np.where(np.abs(mean_exponent - exponent) > 2, mean_exponent, exponent)
+            shift = kernel * ((new_exponent - exponent) * _LOG2)
+            exponent = new_exponent
+            _neumaier_add(k_sum, k_comp, block_sum)
+            terms = xlogy(sq, np.ldexp(sq, -exponent)).sum(axis=0)
+            _neumaier_add(s_sum, s_comp, terms - shift)
+            if k + 1 == ns[row]:
+                kernel = k_sum + k_comp
+                s = s_sum + s_comp
+                bad = ~(np.isfinite(kernel) & np.isfinite(s) & (kernel > 0.0))
+                if bad.any():
+                    raise _overflow(float(x[np.argmax(bad)]), ns[row])
+                mantissa, j = np.frexp(np.ldexp(kernel, -exponent))
+                out[row] = j * _LN2_HI + ((j * _LN2_LO + np.log(mantissa)) - s / kernel)
+                row += 1
+    return out
 
 
 def shannon_entropy(dist: DiscreteDistribution) -> float:

@@ -309,24 +309,30 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def _orthonormal_scan(rec: RecurrenceCoefficients, n: int, x: np.ndarray):
-    """Vectorized p_n, p_n' and sum_{k<n} p_k^2 at every point of x."""
-    sb = np.sqrt(rec.b[: n + 1]).tolist()
+def _forward(rec: RecurrenceCoefficients, x: np.ndarray, n: int, derivative: bool = False):
+    """Yield (p_k(x), p_k'(x)) at every point of the array x, k = 0, ..., n-1.
+
+    The recurrence over many points, shared by the grid entropies and
+    :func:`gauss_jacobi`.  p_{k+1} is
+    ((x - a_k) p_k - sqrt(b_k) p_{k-1}) / sqrt(b_{k+1}), the operations of
+    :func:`eval_orthonormal` in its order, so each point gets the same bits
+    as a single-point pass.  p_k' follows the differentiated recurrence
+    only when ``derivative`` is set and is None otherwise: 5 array
+    operations per step, 10 with the derivative.  Each step yields new
+    arrays, so memory is O(x.size) when the caller keeps none of them.
+    """
+    sb = np.sqrt(rec.b[:n]).tolist()
     p_prev = np.zeros_like(x)
-    d_prev = np.zeros_like(x)
     p = np.full_like(x, 1.0 / sb[0])
-    d = np.zeros_like(x)
-    ksum = p * p
-    for k, a_k in enumerate(rec.a[:n].tolist()):
-        inv = 1.0 / sb[k + 1]
+    d_prev = d = np.zeros_like(x) if derivative else None
+    yield p, d
+    for a_k, sb_k, sb_next in zip(rec.a[: n - 1].tolist(), sb, sb[1:]):
         xa = x - a_k
-        p_next = (xa * p - sb[k] * p_prev) * inv
-        d_next = (p + xa * d - sb[k] * d_prev) * inv
+        p_next = (xa * p - sb_k * p_prev) / sb_next
+        if derivative:
+            d_prev, d = d, (p + xa * d - sb_k * d_prev) / sb_next
         p_prev, p = p, p_next
-        d_prev, d = d, d_next
-        if k + 1 < n:
-            ksum = ksum + p * p
-    return p, d, ksum
+        yield p, d
 
 
 def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
@@ -336,6 +342,8 @@ def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
     the Christoffel numbers 1 / sum_{k<size} p_k^2 there as weights: O(size)
     memory and relatively accurate weights (Hale & Townsend, SIAM J. Sci.
     Comput. 35, 2013), where Golub-Welsch eigenvector weights are not.
+    Both passes run :func:`_forward` over all nodes at once; the Newton
+    pass forms p and p', the weight pass p and the running sum of p^2.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -344,9 +352,10 @@ def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
         nodes = eigvalsh_tridiagonal(rec.a[:size], np.sqrt(rec.b[1:size]))
     except Exception as exc:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
-    p, dp, _ = _orthonormal_scan(rec, size, nodes)
+    for p, dp in _forward(rec, nodes, size + 1, derivative=True):
+        pass
     nodes = nodes - p / dp
-    _, _, ksum = _orthonormal_scan(rec, size, nodes)
+    ksum = sum(p * p for p, _ in _forward(rec, nodes, size))
     order = np.argsort(nodes)
     return QuadratureRule(nodes[order], 1.0 / ksum[order])
 

@@ -130,6 +130,30 @@ class TestEntropyCommand:
         assert "numeric error" in err
         assert err.count("\n") == 1
 
+    # p_k(0.99)^2 passes 1e308 below n = 5000 when alpha = 300
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--x", "0.99"],
+        ["scan", "--x-grid=0.98:0.99:0.01"],
+    ])
+    def test_overflow_of_squares_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--n", "5000", "--alpha", "300")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("numeric error: p_k(x)^2 overflows at x = ")
+
+    def test_grid_rows_match_point_rows(self, capsys):
+        # the grid path streams its sums, one point keeps the direct route
+        weight = ["--alpha=0.3", "--beta=-0.4", "--n-schedule", "1,7,300"]
+        code, out, _ = run_cli(capsys, "entropy", "--x-grid=-0.9:0.9:0.45", *weight)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 15
+        for row in rows:
+            _, point = parse_csv(run_cli(capsys, "entropy", "--x", row[1], *weight)[1])
+            (match,) = [r for r in point if r[0] == row[0]]
+            assert abs(float(row[2]) - float(match[2])) < 1e-14
+
     # c_0 only scales h, so any constant log h prints the h = 1 rows
     @pytest.mark.parametrize("c0", ["-800", "-740", "709.5", "800"])
     def test_constant_logh_prints_unit_h_rows(self, capsys, c0):

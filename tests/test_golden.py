@@ -8,10 +8,13 @@ Regenerate them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the name of each file whose bytes it changed.
+which prints, for each file whose bytes it changed, the number of changed
+lines and the largest absolute change among their numeric cells.
 """
 
+import re
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,36 @@ CASES = {
 }
 
 
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def changes(old: str, new: str) -> tuple[int, float]:
+    """Changed lines, and the largest absolute change among numeric cells.
+
+    Numbers are compared position by position on lines that hold the same
+    count of them; other changed lines count only as changed.
+    """
+    changed, largest = 0, 0.0
+    for a, b in zip_longest(old.splitlines(), new.splitlines(), fillvalue=""):
+        if a == b:
+            continue
+        changed += 1
+        olds, news = NUMBER.findall(a), NUMBER.findall(b)
+        if len(olds) == len(news):
+            largest = max([largest] + [abs(float(u) - float(v)) for u, v in zip(olds, news)])
+    return changed, largest
+
+
+def test_changes_counts_lines_and_numeric_cells():
+    old = "n,x,shannon\n5,0.25,1.5\n40,0.25,2.0\n"
+    new = "n,x,shannon\n5,0.25,1.5000000000000002\n40,0.25,1.9999999999999998\n"
+    count, largest = changes(old, new)
+    assert count == 2
+    assert largest == abs(2.0 - 1.9999999999999998)
+    assert changes(old, old) == (0, 0.0)
+    assert changes(old, old + "extra\n") == (1, 0.0)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, capsys):
     argv, expected_code = CASES[name]
@@ -75,6 +108,8 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit code {code}, expected {expected_code}")
         path = GOLDEN_DIR / f"{name}.out"
         text = buffer.getvalue()
-        if not path.exists() or path.read_text(encoding="utf-8") != text:
+        old = path.read_text(encoding="utf-8") if path.exists() else ""
+        if old != text:
             path.write_text(text, encoding="utf-8")
-            print(path.name)
+            count, largest = changes(old, text)
+            print(f"{path.name}: {count} lines changed, largest numeric change {largest:.3g}")

@@ -380,6 +380,30 @@ class TestEvalOrthonormal:
             eval_orthonormal(rec, 0.0, 0)
 
 
+class TestForwardRecurrence:
+    @pytest.mark.parametrize("weight", [
+        CHEB_T, LEGENDRE, SEEDED_JACOBI, WeightSpec(-0.99, 5.0), WeightSpec(0.3, -0.4, (0.0, 0.5)),
+    ])
+    def test_values_match_eval_orthonormal_bit_for_bit(self, weight):
+        n = 4000 if weight.trivial_h else 500  # a Stieltjes build to 4000 takes seconds
+        rec = weight_recurrence(weight, n)
+        xs = np.array([-0.9999, -0.41, 0.0, 0.37, 0.9999])
+        table = np.stack([p for p, _ in op._forward(rec, xs, n)])
+        assert table.shape == (n, xs.size)
+        for j, x in enumerate(xs):
+            assert np.array_equal(table[:, j], eval_orthonormal(rec, float(x), n))
+
+    def test_derivative_chebyshev_first_kind(self):
+        # p_k = sqrt(2/pi) T_k for k >= 1, and T_k' = k U_{k-1}
+        rec = jacobi_recurrence(-0.5, -0.5, 40)
+        theta = np.array([0.3, 1.0, 2.2])
+        steps = list(op._forward(rec, np.cos(theta), 40, derivative=True))
+        for k, (_, d) in enumerate(steps[1:], start=1):
+            expected = math.sqrt(2.0 / math.pi) * k * np.sin(k * theta) / np.sin(theta)
+            assert np.abs(d - expected).max() < 1e-10 * k * k
+        assert all(d is None for _, d in op._forward(rec, np.cos(theta), 5))
+
+
 class TestChristoffel:
     def test_n_one_gives_total_mass(self):
         assert abs(christoffel(jacobi_recurrence(-0.5, -0.5, 3), 0.2, 1) - math.pi) < 1e-13
