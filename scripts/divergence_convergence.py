@@ -8,7 +8,7 @@ doubling schedule of distribution sizes, printing one CSV row per point:
 
 Rational angles approach a value strictly different from the irrational
 plateau 1 - log(2); the gap column shows the finite-n residual.  Each
-(weight, angle) pair costs one forward recurrence pass to the largest size.
+weight costs one recurrence pass over all its angles to the largest size.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from orthoentropy import (
     IrrationalAngle,
     RationalAngle,
     WeightSpec,
-    christoffel_entropies,
+    christoffel_entropy_grid,
     limit_divergence,
     weight_recurrence,
 )
@@ -54,10 +54,10 @@ def main(argv: list[str] | None = None) -> int:
     print("weight,angle,n,divergence,limit,gap")
     for wname, weight in WEIGHTS.items():
         rec = weight_recurrence(weight, schedule[-1] + 1)
-        for aname, angle in ANGLES.items():
+        xs = [math.cos(angle.theta) for angle in ANGLES.values()]
+        table = christoffel_entropy_grid(rec, xs, schedule)
+        for (aname, angle), entropies in zip(ANGLES.items(), table.T.tolist()):
             limit = limit_divergence(weight, angle)
-            x = math.cos(angle.theta)
-            entropies = christoffel_entropies(rec, x, schedule)
             for size, shannon in zip(schedule, entropies):
                 divergence = math.log(size) - shannon
                 print(csv_line([wname, aname, size, divergence, limit, divergence - limit]))

@@ -32,9 +32,7 @@ from .entropy import (
     EntropyReport,
     chebyshev_distribution_entropy,
     christoffel_distribution,
-    christoffel_entropies,
     christoffel_entropy_grid,
-    entropy_kernel_split,
     kl_divergence,
     shannon_entropy,
     zero_entropy_direct,

@@ -25,7 +25,7 @@ from .asymptotics import (
 )
 from .entropy import (
     christoffel_distribution,
-    entropy_kernel_split,
+    christoffel_entropy_grid,
     shannon_entropy,
     zero_entropy_direct,
     zero_entropy_first_kind,
@@ -38,7 +38,7 @@ from .orthopoly import (
     stieltjes_recurrence,
     weight_recurrence,
 )
-from .specfun import entropy_correction, entropy_correction_series
+from .specfun import _entropy_correction_digamma, entropy_correction, entropy_correction_series
 
 _CHEB_T = WeightSpec.chebyshev_t()
 _CHEB_U = WeightSpec.chebyshev_u()
@@ -71,7 +71,7 @@ ACCEPTANCE_SCOPE = Scope(200, tuple(np.linspace(0.1, math.pi - 0.1, 25).tolist()
 def correction_dual_route(scope: Scope) -> list[Row]:
     """Digamma closed form against the odd-zeta series on (0, 1)."""
     xs = np.arange(1, 100) / 100.0
-    err = max(abs(entropy_correction(x) - entropy_correction_series(x)) for x in xs)
+    err = max(abs(_entropy_correction_digamma(x) - entropy_correction_series(x)) for x in xs)
     return [("correction_dual_route", err, 1e-12)]
 
 
@@ -95,14 +95,18 @@ def zero_entropy_closed_forms(scope: Scope) -> list[Row]:
 
 
 def entropy_split_identity(scope: Scope) -> list[Row]:
-    """Kernel-split entropy against direct summation, Chebyshev T weight."""
-    err = 0.0
+    """Streamed split-form entropies against direct summation, Chebyshev T weight.
+
+    Four points at once and each point alone, the two sources of values."""
+    xs, ns = (-0.6, -0.1, 0.3, 0.7), (1, 2, 5, 17, 64)
     rec = weight_recurrence(_CHEB_T, 64)
-    for x in (-0.6, -0.1, 0.3, 0.7):
-        for n in (1, 2, 5, 17, 64):
-            dist = christoffel_distribution(rec, x, n)
-            err = max(err, abs(entropy_kernel_split(rec, x, n) - shannon_entropy(dist)))
-    return [("entropy_split_identity", err, 1e-12)]
+    grid = christoffel_entropy_grid(rec, xs, ns)
+    err = 0.0
+    for j, x in enumerate(xs):
+        direct = [shannon_entropy(christoffel_distribution(rec, x, n)) for n in ns]
+        point = christoffel_entropy_grid(rec, [x], ns)[:, 0]
+        err = max(err, np.abs(grid[:, j] - direct).max(), np.abs(point - direct).max())
+    return [("entropy_split_identity", float(err), 1e-12)]
 
 
 def identity_suite(scope: Scope) -> list[Row]:

@@ -29,7 +29,6 @@ from .asymptotics import (
 from .checks import CHECKS, verify_scope
 from .entropy import (
     EntropyReport,
-    christoffel_entropies,
     christoffel_entropy_grid,
     csv_line,
     zero_entropy_direct,
@@ -374,14 +373,8 @@ def run_entropy(config: RunConfig) -> None:
         d_inf = limit_divergence(config.weight, config.angle)
     ns = sorted(config.ns)
     xs = sorted(config.xs)
-    # a grid streams its sums over all points at once; one point keeps the
-    # scalar pass, which is faster there
-    if len(xs) > 1:
-        table = christoffel_entropy_grid(rec, xs, ns).tolist()
-    else:
-        table = [[shannon] for shannon in christoffel_entropies(rec, xs[0], ns)]
     reports = []
-    for n, shannons in zip(ns, table):
+    for n, shannons in zip(ns, christoffel_entropy_grid(rec, xs, ns).tolist()):
         for x, shannon in zip(xs, shannons):
             divergence = math.log(n) - shannon
             gap = None if d_inf is None else divergence - d_inf

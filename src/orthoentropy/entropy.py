@@ -6,8 +6,8 @@ function and does not depend on how the weight is normalized.  For both
 Chebyshev weights the entropy at a zero of p_n has an exact closed form
 in terms of the entropy-correction function and an integer gcd.
 
-One point is reduced by direct summation of its normalized cells; a grid
-of points streams compensated sums over one vector recurrence.
+Every entropy row comes from one streamed reduction; direct summation of
+a validated distribution stays as its independent oracle.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ __all__ = [
     "EntropyReport",
     "chebyshev_distribution_entropy",
     "christoffel_distribution",
-    "christoffel_entropies",
     "christoffel_entropy_grid",
     "csv_line",
-    "entropy_kernel_split",
     "format_float",
     "kl_divergence",
     "shannon_entropy",
@@ -78,49 +76,26 @@ class DiscreteDistribution:
         return kl_divergence(self)
 
 
-def _interior_values(rec: RecurrenceCoefficients, x: float, n: int) -> np.ndarray:
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"x must lie in (-1, 1), got {x}")
-    return eval_orthonormal(rec, x, n)
-
-
 def _overflow(x: float, n: int) -> NumericError:
     return NumericError(f"p_k(x)^2 overflows at x = {x!r} for some k < {n}")
-
-
-def _normalized_squares(vals: np.ndarray, x: float) -> DiscreteDistribution:
-    with np.errstate(over="ignore"):
-        sq = vals * vals
-        total = sq.sum()
-    if not np.isfinite(total):
-        raise _overflow(x, vals.size)
-    return DiscreteDistribution(sq / total)
 
 
 def christoffel_distribution(
     rec: RecurrenceCoefficients, x: float, n: int
 ) -> DiscreteDistribution:
-    """Distribution with cells proportional to p_0(x)^2, ..., p_{n-1}(x)^2."""
-    return _normalized_squares(_interior_values(rec, x, n), x)
+    """Distribution with cells proportional to p_0(x)^2, ..., p_{n-1}(x)^2.
 
-
-def christoffel_entropies(
-    rec: RecurrenceCoefficients, x: float, ns: Sequence[int]
-) -> list[float]:
-    """Entropy of the size-n distribution at x for every n in ``ns``.
-
-    One forward pass to max(ns) serves every size: the size-n
-    distribution is built from the first n values exactly as
-    ``christoffel_distribution`` builds it, so each entropy carries the
-    same bits as ``shannon_entropy(christoffel_distribution(rec, x, n))``.
-    Memory is O(max(ns)).  This is the single-point route; a grid of
-    points goes through :func:`christoffel_entropy_grid`.  Raises
-    NumericError when some p_k(x)^2 overflows.
+    The direct route, kept as the oracle of :func:`christoffel_entropy_grid`.
     """
-    if not ns or min(ns) < 1:
-        raise ValueError(f"sizes must be a nonempty list of positive integers, got {ns}")
-    vals = _interior_values(rec, x, max(ns))
-    return [shannon_entropy(_normalized_squares(vals[:n], x)) for n in ns]
+    if not -1.0 < x < 1.0:
+        raise ValueError(f"x must lie in (-1, 1), got {x}")
+    vals = eval_orthonormal(rec, x, n)
+    with np.errstate(over="ignore"):
+        sq = vals * vals
+        total = sq.sum()
+    if not np.isfinite(total):
+        raise _overflow(x, n)
+    return DiscreteDistribution(sq / total)
 
 
 def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
@@ -130,30 +105,55 @@ def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None
     total[...] = s
 
 
+def _grid_blocks(rec: RecurrenceCoefficients, x: np.ndarray, ns: Sequence[int]):
+    """Yield (p_k(x)^2 for up to _BLOCK steps k < end, end), rows of one buffer."""
+    block = np.empty((_BLOCK, x.size))
+    ends = set(ns)
+    filled = 0
+    for k, (p, _) in enumerate(_forward(rec, x, ns[-1])):
+        np.multiply(p, p, out=block[filled])
+        filled += 1
+        if filled == _BLOCK or k + 1 in ends:
+            yield block[:filled], k + 1
+            filled = 0
+
+
+def _point_blocks(rec: RecurrenceCoefficients, x: np.ndarray, ns: Sequence[int]):
+    """Yield (p_k(x)^2 for n_{i-1} <= k < n_i, n_i) at the single point x[0]."""
+    vals = eval_orthonormal(rec, x[0], ns[-1])
+    sq = (vals * vals)[:, None]
+    start = 0
+    for end in ns:
+        yield sq[start:end], end
+        start = end
+
+
 def christoffel_entropy_grid(
     rec: RecurrenceCoefficients, xs: Sequence[float], ns: Sequence[int]
 ) -> np.ndarray:
     """Entropies at every point of ``xs`` (columns) for every n in ``ns`` (rows).
 
-    One :func:`_forward` pass to max(ns) runs over all points at once and
-    streams K = sum p_k^2 and S = sum p_k^2 log(p_k^2 / 2^e).  The squares
-    of up to ``_BLOCK`` steps are reduced together (``xlogy``, so
-    0 log 0 = 0), and each block sum is added to K and S with Neumaier's
-    compensated summation.  The entropy log(K / 2^e) - S/K is read off at
-    each n, with K / 2^e = m 2^j and log 2 split in two, so that only
-    log(m) and S/K are rounded before the last addition.  Memory is
-    O(len(xs) * _BLOCK), with no table of values.
+    The one reduction behind ``entropy`` and ``scan`` streams
+    K = sum p_k^2 and S = sum p_k^2 log(p_k^2 / 2^e) over blocks of
+    squares, each reduced together (``xlogy``, so 0 log 0 = 0) and added to
+    K and S with Neumaier's compensated summation.  The entropy
+    log(K / 2^e) - S/K is read off at each n, with K / 2^e = m 2^j and
+    log 2 split in two, so that only log(m) and S/K are rounded before the
+    last addition.
 
     The exact scale 2^e follows the running mean of p_k^2: after a block
     whose mean has a binary exponent more than 2 away from e, e moves
     there and S -= K (e_new - e) log 2.  Without it log K and S/K would
     cancel where p^2 is large, near an endpoint of a heavy weight.
 
-    The values p_k(x) are those of :func:`eval_orthonormal` bit for bit;
-    only the reduction differs from ``christoffel_entropies``, which stays
-    the single-point route.  Raises NumericError when K or S is not finite,
-    or K is not positive, at some point and n: some p_k(x)^2 (or p_k(x)^2
-    log p_k(x)^2) overflowed, since K >= p_0^2 = 1 / b[0] > 0 otherwise.
+    The number of points chooses the source of the blocks, with the same
+    values p_k(x) bit for bit.  A grid runs one :func:`_forward` recurrence
+    over all points, ``_BLOCK`` steps a block, in O(len(xs) * _BLOCK)
+    memory.  One point takes the scalar :func:`eval_orthonormal` pass, the
+    faster one there, a block per segment [n_{i-1}, n_i) of the schedule.
+    Raises NumericError when K or S is not finite, or K is not positive, at
+    some point and n: some p_k(x)^2 (or p_k(x)^2 log p_k(x)^2) overflowed,
+    since K >= p_0^2 = 1 / b[0] > 0 otherwise.
     """
     x = np.array(xs, dtype=float)
     if x.ndim != 1 or x.size == 0 or not np.all((-1.0 < x) & (x < 1.0)):
@@ -164,33 +164,27 @@ def christoffel_entropy_grid(
         raise ValueError(f"sizes must not exceed {rec.n_max}, got {ns[-1]}")
     out = np.empty((len(ns), x.size))
     k_sum, k_comp, s_sum, s_comp = (np.zeros_like(x) for _ in range(4))
-    exponent = np.zeros(x.size, dtype=int)
-    block = np.empty((_BLOCK, x.size))
-    filled = 0
+    # C ints, as np.frexp gives: np.ldexp is 15 times slower on int64
+    exponent = np.zeros(x.size, dtype=np.intc)
     row = 0
+    blocks = _grid_blocks if x.size > 1 else _point_blocks
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (p, _) in enumerate(_forward(rec, x, ns[-1])):
-            np.multiply(p, p, out=block[filled])
-            filled += 1
-            if filled < _BLOCK and k + 1 < ns[row]:
-                continue
-            sq = block[:filled]
-            filled = 0
+        for sq, end in blocks(rec, x, ns):
             block_sum = sq.sum(axis=0)
             kernel = k_sum + k_comp
-            mean_exponent = np.frexp((kernel + block_sum) / (k + 1))[1]
+            mean_exponent = np.frexp((kernel + block_sum) / end)[1]
             new_exponent = np.where(np.abs(mean_exponent - exponent) > 2, mean_exponent, exponent)
             shift = kernel * ((new_exponent - exponent) * _LOG2)
             exponent = new_exponent
             _neumaier_add(k_sum, k_comp, block_sum)
             terms = xlogy(sq, np.ldexp(sq, -exponent)).sum(axis=0)
             _neumaier_add(s_sum, s_comp, terms - shift)
-            if k + 1 == ns[row]:
+            if end == ns[row]:
                 kernel = k_sum + k_comp
                 s = s_sum + s_comp
                 bad = ~(np.isfinite(kernel) & np.isfinite(s) & (kernel > 0.0))
                 if bad.any():
-                    raise _overflow(float(x[np.argmax(bad)]), ns[row])
+                    raise _overflow(float(x[np.argmax(bad)]), end)
                 mantissa, j = np.frexp(np.ldexp(kernel, -exponent))
                 out[row] = j * _LN2_HI + ((j * _LN2_LO + np.log(mantissa)) - s / kernel)
                 row += 1
@@ -206,18 +200,6 @@ def shannon_entropy(dist: DiscreteDistribution) -> float:
 def kl_divergence(dist: DiscreteDistribution) -> float:
     """Divergence from the uniform distribution: log(n) - entropy >= 0."""
     return math.log(len(dist)) - shannon_entropy(dist)
-
-
-def entropy_kernel_split(rec: RecurrenceCoefficients, x: float, n: int) -> float:
-    """Entropy via the split form -log(lambda_n) - lambda_n sum p^2 log(p^2).
-
-    Algebraically identical to the direct route but computed independently,
-    for cross-validation.
-    """
-    vals = _interior_values(rec, x, n)
-    sq = vals * vals
-    kernel = float(sq.sum())
-    return math.log(kernel) - float(xlogy(sq, sq).sum()) / kernel
 
 
 def _require_zero_index(n: int, j: int) -> None:

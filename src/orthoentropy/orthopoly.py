@@ -206,12 +206,16 @@ def jacobi_recurrence(alpha: float, beta: float, n_max: int) -> RecurrenceCoeffi
     a = np.zeros(n_max)
     b = np.zeros(n_max)
     a[0] = (beta - alpha) / (ab + 2.0)
-    b[0] = math.exp(
-        (ab + 1.0) * math.log(2.0)
-        + math.lgamma(alpha + 1.0)
-        + math.lgamma(beta + 1.0)
-        - math.lgamma(ab + 2.0)
-    )
+    try:
+        b[0] = math.exp(
+            (ab + 1.0) * math.log(2.0)
+            + math.lgamma(alpha + 1.0)
+            + math.lgamma(beta + 1.0)
+            - math.lgamma(ab + 2.0)
+        )
+    except OverflowError:
+        raise NumericError(f"the mass 2^(alpha+beta+1) B(alpha+1, beta+1) of the Jacobi "
+                           f"weight overflows at alpha = {alpha}, beta = {beta}") from None
     if n_max > 1:
         k = np.arange(1, n_max, dtype=float)
         a[1:] = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
@@ -344,6 +348,8 @@ def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
     Comput. 35, 2013), where Golub-Welsch eigenvector weights are not.
     Both passes run :func:`_forward` over all nodes at once; the Newton
     pass forms p and p', the weight pass p and the running sum of p^2.
+    A node whose sum overflows has a weight below the smallest double and
+    is left out (next to the endpoint of a large exponent in a large rule).
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -352,10 +358,13 @@ def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
         nodes = eigvalsh_tridiagonal(rec.a[:size], np.sqrt(rec.b[1:size]))
     except Exception as exc:
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
-    for p, dp in _forward(rec, nodes, size + 1, derivative=True):
-        pass
-    nodes = nodes - p / dp
-    ksum = sum(p * p for p, _ in _forward(rec, nodes, size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, dp in _forward(rec, nodes, size + 1, derivative=True):
+            pass
+        nodes = nodes - p / dp
+        ksum = sum(p * p for p, _ in _forward(rec, nodes, size))
+    kept = np.isfinite(ksum)
+    nodes, ksum = nodes[kept], ksum[kept]
     order = np.argsort(nodes)
     return QuadratureRule(nodes[order], 1.0 / ksum[order])
 

@@ -142,8 +142,31 @@ class TestEntropyCommand:
         assert err.count("\n") == 1
         assert err.startswith("numeric error: p_k(x)^2 overflows at x = ")
 
+    # 2^(alpha+beta+1) B(alpha+1, beta+1) passes 1e308; the last case
+    # reaches it through the Gauss rule of the Stieltjes procedure
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--x", "0.3", "--alpha=1030"],
+        ["scan", "--x-grid=0.1:0.3:0.1", "--beta=1e10"],
+        ["entropy", "--x", "0.3", "--alpha=2000", "--logh-coeffs", "0,1"],
+    ])
+    def test_jacobi_mass_overflow_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--n", "20")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("numeric error: the mass ")
+
+    def test_heavy_exponent_with_h_runs(self, capsys):
+        # a node of the default 660-node Stieltjes rule next to x = -1 has a
+        # weight below 1e-308
+        code, out, err = run_cli(capsys, "entropy", "--x=0.0", "--n", "289", "--alpha=0.0",
+                                 "--beta=236.0", "--logh-coeffs=0.0,72.0")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert math.isfinite(float(rows[0][2]))
+
     def test_grid_rows_match_point_rows(self, capsys):
-        # the grid path streams its sums, one point keeps the direct route
+        # the grid source (vector recurrence) against the single-point source
         weight = ["--alpha=0.3", "--beta=-0.4", "--n-schedule", "1,7,300"]
         code, out, _ = run_cli(capsys, "entropy", "--x-grid=-0.9:0.9:0.45", *weight)
         assert code == 0

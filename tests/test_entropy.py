@@ -14,10 +14,8 @@ from orthoentropy.entropy import (
     EntropyReport,
     chebyshev_distribution_entropy,
     christoffel_distribution,
-    christoffel_entropies,
     christoffel_entropy_grid,
     csv_line,
-    entropy_kernel_split,
     format_float,
     kl_divergence,
     shannon_entropy,
@@ -97,28 +95,6 @@ class TestChristoffelDistribution:
             christoffel_distribution(CHEB_T_REC, 1.0, 3)
 
 
-class TestChristoffelEntropies:
-    @pytest.mark.parametrize("rec", [
-        LEGENDRE_REC,
-        jacobi_recurrence(0.3, -0.4, 60),
-        stieltjes_recurrence(WeightSpec(-0.3, 0.6, (0.2, 0.5, -0.3)), 60),
-    ])
-    def test_same_bits_as_one_distribution_per_size(self, rec):
-        ns = [1, 2, 7, 33, 60]
-        for x in (-0.85, 0.1, 0.6):
-            expected = [shannon_entropy(christoffel_distribution(rec, x, n)) for n in ns]
-            assert christoffel_entropies(rec, x, ns) == expected
-
-    def test_preconditions(self):
-        for ns in ([], [0, 3], [-1, 3]):
-            with pytest.raises(ValueError):
-                christoffel_entropies(LEGENDRE_REC, 0.2, ns)
-        with pytest.raises(ValueError):
-            christoffel_entropies(LEGENDRE_REC, 1.0, [3])
-        with pytest.raises(ValueError):
-            christoffel_entropies(LEGENDRE_REC, 0.2, [3, 61])
-
-
 def mpmath_entropies(vals, ns):
     """log K - S/K of the given doubles p_k, summed in 30 digits, at each n in ns."""
     with mpmath.workdps(30):
@@ -130,6 +106,11 @@ def mpmath_entropies(vals, ns):
             if k + 1 in ns:
                 out.append(mpmath.log(k_sum) - s_sum / k_sum)
         return out
+
+
+def point_entropies(rec, x, ns):
+    """The single-point source: one point per call."""
+    return christoffel_entropy_grid(rec, [x], ns)[:, 0]
 
 
 class TestChristoffelEntropyGrid:
@@ -145,27 +126,38 @@ class TestChristoffelEntropyGrid:
             for j, x in enumerate(xs):
                 direct = [shannon_entropy(christoffel_distribution(rec, x, n)) for n in self.NS]
                 assert np.abs(grid[:, j] - direct).max() < 1e-13, (alpha, beta, x)
+                assert np.abs(point_entropies(rec, x, self.NS) - direct).max() < 1e-13
+        ns = [1, 2, 7, 33, 60]
+        for rec in (LEGENDRE_REC, jacobi_recurrence(0.3, -0.4, 60),
+                    stieltjes_recurrence(WeightSpec(-0.3, 0.6, (0.2, 0.5, -0.3)), 60)):
+            for x in (-0.85, 0.1, 0.6):
+                direct = [shannon_entropy(christoffel_distribution(rec, x, n)) for n in ns]
+                assert np.abs(point_entropies(rec, x, ns) - direct).max() < 1e-13
 
     def test_reduction_against_mpmath(self):
-        # The grid sums the same doubles p_k as the direct route.  A case may
-        # land one ulp farther from the 30-digit sum (at most 8.9e-16 over
-        # 40 seeds of this set-up), but over the set the grid's worst and
-        # mean errors are no larger than those of direct summation.
+        # Both sources sum the same doubles p_k as the direct route.  A case
+        # may land one ulp farther from the 30-digit sum (at most 8.9e-16
+        # over 40 seeds of this set-up), but over the set the worst and mean
+        # errors of each source are no larger than those of direct summation.
         ns = (7, 250, 1000, 4000)
         rng = np.random.default_rng(20141010)
-        grid_errs, direct_errs = [], []
+        grid_errs, point_errs, direct_errs = [], [], []
         for alpha, beta in rng.uniform(-0.99, 5.0, (2, 2)):
             rec = jacobi_recurrence(alpha, beta, max(ns))
             xs = [-0.9999, *sorted(rng.uniform(-0.99, 0.99, 4)), 0.9999]
             grid = christoffel_entropy_grid(rec, xs, ns)
             for j, x in enumerate(xs):
                 refs = mpmath_entropies(eval_orthonormal(rec, x, max(ns)), ns)
-                for i, direct in enumerate(christoffel_entropies(rec, x, ns)):
+                point = point_entropies(rec, x, ns)
+                for i, n in enumerate(ns):
+                    direct = shannon_entropy(christoffel_distribution(rec, x, n))
                     grid_errs.append(abs(float(grid[i, j] - refs[i])))
+                    point_errs.append(abs(float(point[i] - refs[i])))
                     direct_errs.append(abs(float(direct - refs[i])))
-        assert all(g <= d + 1e-15 for g, d in zip(grid_errs, direct_errs))
-        assert max(grid_errs) <= max(direct_errs) + 4e-16
-        assert np.mean(grid_errs) <= np.mean(direct_errs)
+        for errs in (grid_errs, point_errs):
+            assert all(e <= d + 1e-15 for e, d in zip(errs, direct_errs))
+            assert max(errs) <= max(direct_errs) + 4e-16
+            assert np.mean(errs) <= np.mean(direct_errs)
 
     @pytest.mark.parametrize("rec", [LEGENDRE_REC, CHEB_U_REC])
     def test_zero_cells(self, rec):
@@ -176,22 +168,27 @@ class TestChristoffelEntropyGrid:
         grid = christoffel_entropy_grid(rec, xs, ns)
         assert np.all(np.isfinite(grid))
         for j, x in enumerate(xs):
-            assert np.abs(grid[:, j] - christoffel_entropies(rec, x, ns)).max() < 1e-14
+            direct = [shannon_entropy(christoffel_distribution(rec, x, n)) for n in ns]
+            assert np.abs(grid[:, j] - direct).max() < 1e-14
+            assert np.abs(point_entropies(rec, x, ns) - direct).max() < 1e-14
 
     def test_overflow_raises_numeric_error(self):
         rec = jacobi_recurrence(300.0, 0.0, 5000)
         with pytest.raises(NumericError, match="overflows at x = 0.99 "):
             christoffel_entropy_grid(rec, [-0.5, 0.99], [10, 5000])
         with pytest.raises(NumericError, match="overflows at x = 0.99 "):
-            christoffel_entropies(rec, 0.99, [10, 5000])
+            point_entropies(rec, 0.99, [10, 5000])
+        with pytest.raises(NumericError, match="overflows at x = 0.99 "):
+            christoffel_distribution(rec, 0.99, 5000)
 
     def test_preconditions(self):
-        for xs in ([], [0.2, 1.0], [[0.1, 0.2]]):
+        for xs in ([], [0.2, 1.0], [1.0], [[0.1, 0.2]]):
             with pytest.raises(ValueError):
                 christoffel_entropy_grid(LEGENDRE_REC, xs, [3])
-        for ns in ([], [0, 3], [3, 3], [5, 3], [3, 61]):
-            with pytest.raises(ValueError):
-                christoffel_entropy_grid(LEGENDRE_REC, [0.1, 0.2], ns)
+        for ns in ([], [0, 3], [-1, 3], [3, 3], [5, 3], [3, 61]):
+            for xs in ([0.1, 0.2], [0.2]):
+                with pytest.raises(ValueError):
+                    christoffel_entropy_grid(LEGENDRE_REC, xs, ns)
 
 
 class TestShannonEntropy:
@@ -233,19 +230,22 @@ class TestKlDivergence:
 
 
 class TestKernelSplit:
+    # the split form log K - S/K is the production reduction
     def test_matches_direct_route(self):
+        ns = (1, 2, 5, 17, 60)
         for rec in (CHEB_T_REC, CHEB_U_REC, LEGENDRE_REC):
             for x in (-0.7, -0.1, 0.3, 0.8):
-                for n in (1, 2, 5, 17, 60):
-                    direct = shannon_entropy(christoffel_distribution(rec, x, n))
-                    assert abs(entropy_kernel_split(rec, x, n) - direct) < 1e-12
+                direct = [shannon_entropy(christoffel_distribution(rec, x, n)) for n in ns]
+                assert np.abs(point_entropies(rec, x, ns) - direct).max() < 1e-12
 
     def test_chebyshev_origin_n3(self):
         expected = math.log(3.0) - 2.0 / 3.0 * LOG2
-        assert abs(entropy_kernel_split(CHEB_T_REC, 0.0, 3) - expected) < 1e-14
+        assert abs(point_entropies(CHEB_T_REC, 0.0, [3])[0] - expected) < 1e-14
+        assert abs(christoffel_entropy_grid(CHEB_T_REC, [-0.5, 0.0], [3])[0, 1] - expected) < 1e-14
 
     def test_single_cell_is_zero(self):
-        assert abs(entropy_kernel_split(CHEB_T_REC, 0.3, 1)) < 1e-15
+        assert abs(point_entropies(CHEB_T_REC, 0.3, [1])[0]) < 1e-15
+        assert np.abs(christoffel_entropy_grid(CHEB_T_REC, [-0.5, 0.3], [1])).max() < 1e-15
 
 
 class TestClosedFormZeroEntropies:

@@ -308,6 +308,17 @@ class TestGaussJacobi:
         assert max(abs(float(x - t)) for x, t in zip(rule.nodes, nodes)) < 1e-15
         assert max(abs(float(w / v - 1)) for w, v in zip(rule.weights, weights)) < 1e-11
 
+    def test_underflowing_weights_left_out(self):
+        # next to x = -1 the weights of (1+x)^236 fall below 1e-308, where
+        # the Christoffel sums overflow
+        rule = gauss_jacobi(0.0, 236.0, 700)
+        assert 600 < len(rule) < 700
+        assert np.all(np.isfinite(rule.weights))
+        mass = 2.0 ** 237 / 237.0
+        assert abs(rule.weights.sum() / mass - 1.0) < 1e-13
+        mean = float(np.sum(rule.weights * rule.nodes) / rule.weights.sum())
+        assert abs(mean - 236.0 / 238.0) < 1e-15
+
     def test_eigensolver_failure_raises_convergence_error(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")

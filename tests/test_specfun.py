@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from orthoentropy.errors import ToleranceError
 from orthoentropy.specfun import (
     EULER_GAMMA,
+    _entropy_correction_digamma,
     digamma,
     entropy_correction,
     entropy_correction_series,
@@ -101,15 +102,25 @@ class TestEntropyCorrection:
     def test_half_value(self):
         assert abs(entropy_correction(0.5) - (2.0 * LOG2 - 1.0)) < 1e-13
 
+    # the two routes stay independent: the digamma form at every x
     def test_series_matches_closed_at_reciprocals(self):
         for k in range(2, 11):
             x = 1.0 / k
-            assert abs(entropy_correction(x) - entropy_correction_series(x)) < 1e-12
+            assert abs(_entropy_correction_digamma(x) - entropy_correction_series(x)) < 1e-12
 
     def test_dual_route_on_grid(self):
         for x in np.arange(0.05, 1.0, 0.05):
-            diff = abs(entropy_correction(float(x)) - entropy_correction_series(float(x)))
+            diff = abs(_entropy_correction_digamma(float(x)) - entropy_correction_series(float(x)))
             assert diff < 1e-12
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-6, 1e-4, 1e-2, 0.125, 0.2])
+    def test_relatively_accurate_at_small_x(self, x):
+        # the digamma form cancels here: -0.0 at 1e-8, 7.7e-5 off at 1e-6
+        xm = mpmath.mpf(x)
+        exact = -xm * (mpmath.digamma(1 - xm) + 2 * mpmath.euler + mpmath.digamma(1 + xm))
+        value = entropy_correction(x)
+        assert value > 0.0
+        assert abs((value - exact) / exact) < 1e-14
 
     def test_small_argument_cubic_behavior(self):
         x = 1e-3
