@@ -113,6 +113,18 @@ def point_entropies(rec, x, ns):
     return christoffel_entropy_grid(rec, [x], ns)[:, 0]
 
 
+class TestChristoffelEntropies:
+    # the entropies of every size at one point: a one-point grid
+    def test_preconditions(self):
+        for ns in ([], [0, 3], [-1, 3], [3, 3], [5, 3]):
+            with pytest.raises(ValueError):
+                point_entropies(LEGENDRE_REC, 0.2, ns)
+        with pytest.raises(ValueError):
+            point_entropies(LEGENDRE_REC, 1.0, [3])
+        with pytest.raises(ValueError):
+            point_entropies(LEGENDRE_REC, 0.2, [3, 61])
+
+
 class TestChristoffelEntropyGrid:
     NS = (1, 2, 7, 63, 64, 65, 250, 1000, 4000)
 
@@ -182,13 +194,12 @@ class TestChristoffelEntropyGrid:
             christoffel_distribution(rec, 0.99, 5000)
 
     def test_preconditions(self):
-        for xs in ([], [0.2, 1.0], [1.0], [[0.1, 0.2]]):
+        for xs in ([], [0.2, 1.0], [[0.1, 0.2]]):
             with pytest.raises(ValueError):
                 christoffel_entropy_grid(LEGENDRE_REC, xs, [3])
         for ns in ([], [0, 3], [-1, 3], [3, 3], [5, 3], [3, 61]):
-            for xs in ([0.1, 0.2], [0.2]):
-                with pytest.raises(ValueError):
-                    christoffel_entropy_grid(LEGENDRE_REC, xs, ns)
+            with pytest.raises(ValueError):
+                christoffel_entropy_grid(LEGENDRE_REC, [0.1, 0.2], ns)
 
 
 class TestShannonEntropy:
