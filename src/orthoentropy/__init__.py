@@ -39,7 +39,7 @@ from .entropy import (
     zero_entropy_first_kind,
     zero_entropy_second_kind,
 )
-from .errors import ConfigError, ConvergenceError, NumericError, ToleranceError
+from .errors import ConfigError, ConvergenceError, NumericError
 from .orthopoly import (
     QuadratureRule,
     RecurrenceCoefficients,
@@ -52,13 +52,6 @@ from .orthopoly import (
     stieltjes_recurrence,
     weight_recurrence,
 )
-from .specfun import (
-    EULER_GAMMA,
-    digamma,
-    entropy_correction,
-    entropy_correction_series,
-    entropy_integrand,
-    zeta_odd,
-)
+from .specfun import entropy_correction
 
 __version__ = "0.1.0"

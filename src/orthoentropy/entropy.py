@@ -213,21 +213,22 @@ def zero_entropy_first_kind(n: int, j: int) -> float:
     """Exact entropy at the j-th zero for the first-kind Chebyshev weight.
 
     log(n) + log(2) - 1 + log(2)/n - correction(d / (2n)) with
-    d = gcd(2j - 1, n).
+    d = gcd(2j - 1, n), the terms added with one rounding (``math.fsum``).
     """
     _require_zero_index(n, j)
     d = math.gcd(2 * j - 1, n)
-    return math.log(n) + _LOG2 - 1.0 + _LOG2 / n - entropy_correction(d / (2.0 * n))
+    return math.fsum((math.log(n), _LOG2, -1.0, _LOG2 / n, -entropy_correction(d / (2.0 * n))))
 
 
 def zero_entropy_second_kind(n: int, j: int) -> float:
     """Exact entropy at the j-th zero for the second-kind Chebyshev weight.
 
-    log(n+1) + log(2) - 1 - correction(d / (n+1)) with d = gcd(j, n+1).
+    log(n+1) + log(2) - 1 - correction(d / (n+1)) with d = gcd(j, n+1),
+    the terms added with one rounding (``math.fsum``).
     """
     _require_zero_index(n, j)
     d = math.gcd(j, n + 1)
-    return math.log(n + 1) + _LOG2 - 1.0 - entropy_correction(d / (n + 1.0))
+    return math.fsum((math.log(n + 1), _LOG2, -1.0, -entropy_correction(d / (n + 1.0))))
 
 
 def chebyshev_distribution_entropy(kind: str, n: int, theta: float) -> float:

@@ -5,10 +5,6 @@ class NumericError(RuntimeError):
     """A numerical procedure failed to meet its accuracy contract."""
 
 
-class ToleranceError(NumericError):
-    """A truncated series ran out of terms before reaching its tolerance."""
-
-
 class ConvergenceError(NumericError):
     """An iterative or extrapolated computation did not stabilize."""
 
