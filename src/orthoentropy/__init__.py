@@ -18,12 +18,10 @@ from .asymptotics import (
     christoffel_limit_ratios,
     identity_suite,
     limit_divergence,
-    periodic_average,
     phase_average,
     phase_average_empirical,
     phase_shift,
     pv_log_h_oracle,
-    rationalize,
     zero_entropy_gaps,
     zero_subsequence,
 )
@@ -33,19 +31,17 @@ from .entropy import (
     chebyshev_distribution_entropy,
     christoffel_distribution,
     christoffel_entropy_grid,
-    kl_divergence,
     shannon_entropy,
     zero_entropy_direct,
     zero_entropy_first_kind,
     zero_entropy_second_kind,
 )
-from .errors import ConfigError, ConvergenceError, NumericError
+from .errors import ConfigError, NumericError
 from .orthopoly import (
     QuadratureRule,
     RecurrenceCoefficients,
     WeightSpec,
     chebyshev_zero,
-    christoffel,
     eval_orthonormal,
     gauss_jacobi,
     jacobi_recurrence,

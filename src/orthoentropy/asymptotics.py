@@ -5,19 +5,19 @@ rational: it is 1 - log(2) off the rational grid and log(2) plus twice a
 k-point phase average on it.  This module provides the phase function with
 its exact Chebyshev treatment of the principal-value integral, a brute
 force excision oracle for that integral, the phase averages (exact and
-empirical), the periodic-averaging identity behind the rational case, the
-closed-form limit for the first-kind Chebyshev weight, the bulk cosine
-approximation of the polynomials, kernel-limit diagnostics, the zero
-subsequence families, and an identity suite tying the averages to the
-entropy-correction function.
+empirical), the closed-form limit for the first-kind Chebyshev weight, the
+bulk cosine approximation of the polynomials, kernel-limit diagnostics,
+the zero subsequence families, and an identity suite tying the averages to
+the entropy-correction function.  Angles are always declared by the
+caller: a float never certifies that theta/pi is rational.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,7 +28,7 @@ from .entropy import (
     zero_entropy_first_kind,
     zero_entropy_second_kind,
 )
-from .errors import ConvergenceError
+from .errors import NumericError
 from .orthopoly import (
     RecurrenceCoefficients,
     WeightSpec,
@@ -47,12 +47,10 @@ __all__ = [
     "christoffel_limit_ratios",
     "identity_suite",
     "limit_divergence",
-    "periodic_average",
     "phase_average",
     "phase_average_empirical",
     "phase_shift",
     "pv_log_h_oracle",
-    "rationalize",
     "zero_entropy_gaps",
     "zero_subsequence",
 ]
@@ -69,7 +67,10 @@ def _integrand_even(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RationalAngle:
-    """Angle theta = pi * s / k with 0 < s < k, reduced at construction."""
+    """Angle theta = pi * s / k with 0 < s < k, reduced at construction.
+
+    The reduced k must fit a float, so that theta is one.
+    """
 
     s: int
     k: int
@@ -79,8 +80,11 @@ class RationalAngle:
         if not 0 < s < k:
             raise ValueError(f"need 0 < s < k, got s={s}, k={k}")
         g = math.gcd(s, k)
-        object.__setattr__(self, "s", s // g)
-        object.__setattr__(self, "k", k // g)
+        s, k = s // g, k // g
+        if k > sys.float_info.max:
+            raise ValueError(f"theta = pi s/k needs k to fit a float, got a {k.bit_length()}-bit k")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "k", k)
 
     @property
     def theta(self) -> float:
@@ -103,21 +107,6 @@ class IrrationalAngle:
 
 
 Angle = Union[RationalAngle, IrrationalAngle]
-
-
-def rationalize(theta: float, max_denominator: int = 1000) -> RationalAngle | None:
-    """Advisory continued-fraction guess for theta/pi as a reduced fraction.
-
-    Exploration aid only: a float can never certify that theta/pi is
-    rational, so callers must decide for themselves whether to trust the
-    returned angle.  Returns None when no convincing fraction exists.
-    """
-    frac = Fraction(theta / math.pi).limit_denominator(max_denominator)
-    if not 0 < frac < 1:
-        return None
-    if abs(float(frac) * math.pi - theta) > 1e-9:
-        return None
-    return RationalAngle(frac.numerator, frac.denominator)
 
 
 def phase_shift(weight: WeightSpec, theta: float) -> float:
@@ -178,7 +167,7 @@ def pv_log_h_oracle(weight: WeightSpec, x: float) -> float:
         for i in range(len(diag) - 1, m - 1, -1):
             diag[i] = diag[i] + (diag[i] - diag[i - 1]) / factor
     if abs(diag[-1] - diag[-2]) > _EXTRAPOLATION_TOL:
-        raise ConvergenceError(
+        raise NumericError(
             "excision extrapolation did not stabilize: last two estimates "
             f"differ by {abs(diag[-1] - diag[-2]):.3e}"
         )
@@ -201,26 +190,6 @@ def phase_average_empirical(weight: WeightSpec, theta: float, n: int) -> float:
     i = np.arange(n)
     y = np.cos((i + 0.5) * theta + phi - _QUARTER_PI)
     return float(_integrand_even(y).sum()) / n
-
-
-def periodic_average(g: Callable[[int], float], k: int, n: int) -> tuple[float, float]:
-    """Average (1/n) sum_{i<n} g(i) of a k-periodic g, with its deviation
-    from the period mean.
-
-    Writing n - 1 = p*k + q, the deviation equals the exact folding
-    correction (1/n) * (sum_{i<=q} g(i) - (q+1)/k * sum_{i<k} g(i)), which
-    is what gets returned; for bounded g it vanishes like 1/n.
-    """
-    if k < 1:
-        raise ValueError("period k must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    period = [float(g(i)) for i in range(k)]
-    period_sum = math.fsum(period)
-    q = (n - 1) % k
-    head = math.fsum(period[: q + 1])
-    remainder = (head - (q + 1) * period_sum / k) / n
-    return period_sum / k + remainder, remainder
 
 
 def limit_divergence(weight: WeightSpec, angle: Angle) -> float:

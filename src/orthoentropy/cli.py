@@ -3,8 +3,14 @@
 Subcommands: entropy, limit, zeros, verify, scan.  Data commands emit CSV
 (default) or JSON with a fixed field order and fixed 17-significant-digit
 float formatting, so identical configurations produce byte-identical
-output.  Exit codes: 0 ok, 1 verification failure, 2 configuration error,
-3 numerical failure.
+output.
+
+Exit codes: 0 ok, 1 verification failure, 2 configuration error, 3
+numerical failure.  The code follows from the exception type alone: a
+ValueError (ConfigError is one) raised while ``build_config`` turns the
+arguments into objects exits 2, and a NumericError raised while a command
+runs exits 3, each with one line on stderr.  Nothing else is caught, so
+any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -146,10 +152,7 @@ def _resolve_weight(args: argparse.Namespace) -> WeightSpec:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read weight file {args.weight}: {exc}") from exc
-        try:
-            spec = WeightSpec.from_dict(data)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        spec = WeightSpec.from_dict(data)
         alpha, beta, logh = spec.alpha, spec.beta, spec.logh_cheb
         inline = [
             name
@@ -173,14 +176,11 @@ def _resolve_weight(args: argparse.Namespace) -> WeightSpec:
         logh = _parse_logh(args.logh_coeffs)
     if alpha is None and beta is None and logh is None:
         return WeightSpec.chebyshev_t()
-    try:
-        return WeightSpec(
-            alpha if alpha is not None else -0.5,
-            beta if beta is not None else -0.5,
-            logh if logh is not None else (),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return WeightSpec(
+        alpha if alpha is not None else -0.5,
+        beta if beta is not None else -0.5,
+        logh if logh is not None else (),
+    )
 
 
 def _resolve_angle(args: argparse.Namespace) -> Angle | None:
@@ -196,15 +196,9 @@ def _resolve_angle(args: argparse.Namespace) -> Angle | None:
             s, k = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ConfigError(f"bad --angle value {angle_text!r}: {exc}") from exc
-        try:
-            return RationalAngle(s, k)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return RationalAngle(s, k)
     if theta is not None:
-        try:
-            return IrrationalAngle(theta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return IrrationalAngle(theta)
     return None
 
 
@@ -290,7 +284,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 "entropy requires exactly one of --x, --x-grid, --angle, --theta"
             )
         if angle is not None:
-            xs = (math.cos(angle.theta),)
+            xs = _check_xs((math.cos(angle.theta),))
         elif args.x is not None:
             xs = _check_xs((args.x,))
         else:
@@ -306,10 +300,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError("subsequence mode requires --angle or --theta")
             if args.count < 1:
                 raise ConfigError("--count must be >= 1")
-            try:  # one item checks the family against the angle
-                zero_subsequence(args.subsequence, angle, 1)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            zero_subsequence(args.subsequence, angle, 1)  # checks the family against the angle
             return RunConfig(command, weight, angle=angle, kind=kind,
                              family=args.subsequence, count=args.count,
                              fmt=args.fmt, out=args.out)
@@ -447,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError is one
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -460,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         elif config.command == "zeros":
             run_zeros(config)
         return 0
-    except (NumericError, ValueError) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
 

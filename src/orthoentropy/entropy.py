@@ -31,7 +31,6 @@ __all__ = [
     "christoffel_entropy_grid",
     "csv_line",
     "format_float",
-    "kl_divergence",
     "shannon_entropy",
     "zero_entropy_direct",
     "zero_entropy_first_kind",
@@ -49,7 +48,11 @@ _BLOCK = 64
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Probability vector: nonnegative entries summing to 1 within 1e-12."""
+    """Probability vector: nonnegative entries summing to 1 within 1e-12.
+
+    The shape is checked with ValueError; the entries are computed values,
+    checked with NumericError.
+    """
 
     probs: np.ndarray
 
@@ -58,22 +61,11 @@ class DiscreteDistribution:
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-d array")
         if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
-            raise ValueError("probabilities must be finite and nonnegative")
+            raise NumericError("probabilities must be finite and nonnegative")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1 within 1e-12")
+            raise NumericError("probabilities must sum to 1 within 1e-12")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-
-    def __len__(self) -> int:
-        return self.probs.size
-
-    @property
-    def shannon(self) -> float:
-        return shannon_entropy(self)
-
-    @property
-    def divergence(self) -> float:
-        return kl_divergence(self)
 
 
 def _overflow(x: float, n: int) -> NumericError:
@@ -197,11 +189,6 @@ def shannon_entropy(dist: DiscreteDistribution) -> float:
     return float(-xlogy(p, p).sum())
 
 
-def kl_divergence(dist: DiscreteDistribution) -> float:
-    """Divergence from the uniform distribution: log(n) - entropy >= 0."""
-    return math.log(len(dist)) - shannon_entropy(dist)
-
-
 def _require_zero_index(n: int, j: int) -> None:
     if n < 1:
         raise IndexError(f"n must be >= 1, got {n}")
@@ -290,6 +277,8 @@ class EntropyReport:
     """One output row: (n, x, entropy, divergence, limit, gap to the limit).
 
     The field names are the CSV header and the JSON keys of the row.
+    n is checked with ValueError; the entropy and the divergence are
+    computed values, whose ranges are checked with NumericError.
     """
 
     n: int
@@ -303,6 +292,6 @@ class EntropyReport:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not -1e-12 <= self.shannon <= math.log(self.n) + 1e-12:
-            raise ValueError("entropy outside [0, log n]")
+            raise NumericError("entropy outside [0, log n]")
         if self.divergence < -1e-12:
-            raise ValueError("divergence must be nonnegative")
+            raise NumericError("divergence must be nonnegative")

@@ -1,12 +1,15 @@
-"""Exception types shared across the package."""
+"""The two exception types that the command line maps to exit codes.
+
+A ``ConfigError`` (or any ``ValueError``) raised while the command line
+turns its input into objects exits 2; a ``NumericError`` raised while a
+command computes exits 3.  Checks on computed values raise
+``NumericError``; checks on shapes, lengths and arguments raise
+``ValueError``.
+"""
 
 
 class NumericError(RuntimeError):
-    """A numerical procedure failed to meet its accuracy contract."""
-
-
-class ConvergenceError(NumericError):
-    """An iterative or extrapolated computation did not stabilize."""
+    """A computed value failed a check, or a numerical procedure failed."""
 
 
 class ConfigError(ValueError):

@@ -2,9 +2,10 @@
 
 Weight specifications, monic three-term recurrences (closed form for pure
 Jacobi, Stieltjes procedure for an analytic factor h), orthonormal
-evaluation, Christoffel functions, Gauss-Jacobi quadrature (Jacobi-matrix
-eigenvalues, one Newton step, Christoffel-number weights), and the exact
-Chebyshev zeros.  Recurrences and rules are immutable once built and all
+evaluation, Gauss-Jacobi quadrature (Jacobi-matrix eigenvalues, one
+Newton step, Christoffel-number weights), and the exact Chebyshev zeros.
+A recurrence or rule whose computed values fail their checks raises
+NumericError.  Recurrences and rules are immutable once built and all
 evaluations are pure, so everything is freely shareable across threads.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.fft import dct
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import ConvergenceError, NumericError
+from .errors import NumericError
 
 __all__ = [
     "CHEBYSHEV_KINDS",
@@ -26,7 +27,6 @@ __all__ = [
     "RecurrenceCoefficients",
     "WeightSpec",
     "chebyshev_zero",
-    "christoffel",
     "eval_orthonormal",
     "gauss_jacobi",
     "jacobi_recurrence",
@@ -187,9 +187,9 @@ class RecurrenceCoefficients:
         if len(a) < self.n_max or len(b) < self.n_max:
             raise ValueError("coefficient arrays must have length >= n_max")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("recurrence coefficients must be finite")
+            raise NumericError("recurrence coefficients must be finite")
         if not np.all(b > 0.0):
-            raise ValueError("all b coefficients must be positive")
+            raise NumericError("all b coefficients must be positive")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -216,15 +216,18 @@ def jacobi_recurrence(alpha: float, beta: float, n_max: int) -> RecurrenceCoeffi
     except OverflowError:
         raise NumericError(f"the mass 2^(alpha+beta+1) B(alpha+1, beta+1) of the Jacobi "
                            f"weight overflows at alpha = {alpha}, beta = {beta}") from None
-    if n_max > 1:
-        k = np.arange(1, n_max, dtype=float)
-        a[1:] = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-        # k = 1 in cancelled form: the generic expression is 0/0 when ab = -1.
-        b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    if n_max > 2:
-        k = np.arange(2, n_max, dtype=float)
-        s = 2.0 * k + ab
-        b[2:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0))
+    # alpha + beta past about 1e154 overflows to inf or nan here, which
+    # RecurrenceCoefficients reports as a NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_max > 1:
+            k = np.arange(1, n_max, dtype=float)
+            a[1:] = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+            # k = 1 in cancelled form: the generic expression is 0/0 when ab = -1.
+            b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) * (ab + 2.0) * (ab + 3.0))
+        if n_max > 2:
+            k = np.arange(2, n_max, dtype=float)
+            s = 2.0 * k + ab
+            b[2:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0))
     return RecurrenceCoefficients(n_max, a, b)
 
 
@@ -301,9 +304,9 @@ class QuadratureRule:
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
             raise ValueError("nodes and weights must be matching nonempty 1-d arrays")
         if nodes.size > 1 and not np.all(np.diff(nodes) > 0.0):
-            raise ValueError("nodes must be strictly increasing")
+            raise NumericError("nodes must be strictly increasing")
         if not np.all(weights > 0.0):
-            raise ValueError("weights must be positive")
+            raise NumericError("weights must be positive")
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -357,7 +360,7 @@ def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
     try:
         nodes = eigvalsh_tridiagonal(rec.a[:size], np.sqrt(rec.b[1:size]))
     except Exception as exc:
-        raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+        raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         for p, dp in _forward(rec, nodes, size + 1, derivative=True):
             pass
@@ -394,12 +397,6 @@ def eval_orthonormal(rec: RecurrenceCoefficients, x: float, n: int) -> np.ndarra
         p_prev, p = p, ((x - a_k) * p - sb_k * p_prev) / sb_next
         append(p)
     return np.frombuffer(vals)
-
-
-def christoffel(rec: RecurrenceCoefficients, x: float, n: int) -> float:
-    """Christoffel function 1 / sum_{k<n} p_k(x)^2; strictly positive."""
-    vals = eval_orthonormal(rec, x, n)
-    return 1.0 / float(np.dot(vals, vals))
 
 
 def chebyshev_zero(kind: str, n: int, j: int) -> float:

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from orthoentropy.asymptotics import (
@@ -15,12 +13,10 @@ from orthoentropy.asymptotics import (
     christoffel_limit_ratios,
     identity_suite,
     limit_divergence,
-    periodic_average,
     phase_average,
     phase_average_empirical,
     phase_shift,
     pv_log_h_oracle,
-    rationalize,
     zero_entropy_gaps,
     zero_subsequence,
 )
@@ -50,13 +46,6 @@ class TestAngles:
     def test_irrational_validation(self, theta):
         with pytest.raises(ValueError):
             IrrationalAngle(theta)
-
-    def test_rationalize_recovers_fraction(self):
-        guess = rationalize(math.pi * 2.0 / 5.0)
-        assert guess == RationalAngle(2, 5)
-
-    def test_rationalize_rejects_far_values(self):
-        assert rationalize(1.0, max_denominator=50) is None
 
 
 class TestPhaseShift:
@@ -173,36 +162,6 @@ class TestPhaseAverageEmpirical:
             ]
             assert errors[0] > errors[1] > errors[2]
             assert errors[2] < 1e-4
-
-
-class TestPeriodicAverage:
-    def test_constant(self):
-        average, remainder = periodic_average(lambda _: 3.5, 4, 11)
-        assert average == 3.5
-        assert remainder == 0.0
-
-    def test_alternating_example(self):
-        average, remainder = periodic_average(lambda i: (1.0, 0.0)[i % 2], 2, 5)
-        assert abs(average - 0.6) < 1e-15
-        assert abs(remainder - 0.1) < 1e-15
-
-    def test_remainder_shrinks(self):
-        g = lambda i: math.sin(2.0 * math.pi * i / 7.0) + 0.25
-        values = [abs(periodic_average(g, 7, n)[1]) for n in (10, 100, 1000, 10000)]
-        assert values[-1] < values[0] / 100.0
-
-    @given(
-        st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=8),
-        st.integers(min_value=1, max_value=200),
-    )
-    @settings(max_examples=60)
-    def test_matches_brute_force(self, period, n):
-        k = len(period)
-        g = lambda i: period[i % k]
-        average, remainder = periodic_average(g, k, n)
-        brute = math.fsum(g(i) for i in range(n)) / n
-        assert abs(average - brute) < 1e-12
-        assert abs((average - math.fsum(period) / k) - remainder) < 1e-12
 
 
 class TestLimitDivergence:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from orthoentropy import asymptotics
+from orthoentropy import asymptotics, cli
 from orthoentropy.cli import main
 
 LOG2 = math.log(2.0)
@@ -156,6 +156,14 @@ class TestEntropyCommand:
         assert err.count("\n") == 1
         assert err.startswith("numeric error: the mass ")
 
+    def test_recurrence_overflow_exits_3(self, capsys):
+        # (alpha + beta + 2)^2 passes 1e308 in b[1]; the mass does not overflow
+        code, out, err = run_cli(capsys, "entropy", "--x", "0.3", "--n", "10",
+                                 "--alpha=1e160", "--beta=1e160")
+        assert code == 3
+        assert out == ""
+        assert err == "numeric error: recurrence coefficients must be finite\n"
+
     def test_heavy_exponent_with_h_runs(self, capsys):
         # a node of the default 660-node Stieltjes rule next to x = -1 has a
         # weight below 1e-308
@@ -192,6 +200,39 @@ class TestEntropyCommand:
         code, out, _ = run_cli(capsys, *argv, "--logh-coeffs", "0,0")
         assert code == 0
         assert out == run_cli(capsys, *argv)[1]
+
+
+BIG_K = "1" + "0" * 400
+
+
+class TestExitCodes:
+    # the exit code follows from the type: ValueError while the input is
+    # turned into objects exits 2, NumericError while a command runs exits 3
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["entropy", "--theta", "1e-20", "--n", "10"], id="theta_rounds_to_x_1"),
+        pytest.param(["entropy", "--angle", "1/100000000000", "--n", "10"],
+                     id="angle_rounds_to_x_1"),
+        pytest.param(["limit", "--angle", f"1/{BIG_K}"], id="limit_big_k"),
+        pytest.param(["entropy", "--angle", f"1/{BIG_K}", "--n", "10"], id="entropy_big_k"),
+        pytest.param(["zeros", "--kind", "U", "--subsequence", "2", "--angle", f"1/{BIG_K}"],
+                     id="family2_big_k"),
+        pytest.param(["zeros", "--kind", "T", "--subsequence", "4", "--angle", f"1/{BIG_K}"],
+                     id="family4_big_k"),
+    ])
+    def test_config_error_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_other_errors_propagate(self, monkeypatch):
+        # a ValueError while a command runs is a bug, not an exit code
+        def broken(config):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "run_entropy", broken)
+        with pytest.raises(ValueError, match="bug"):
+            main(["entropy", "--x", "0.3", "--n", "3"])
 
 
 class TestScanCommand:

@@ -1,10 +1,13 @@
 """Property tests of ``cli.main`` at the edges of the domain.
 
 alpha and beta near -1 and up to about 2000, x near +-1, n up to 10^5 for
-one point, and log-h coefficients up to 10^3 in size.  Every example must
-exit 0, 2 or 3, print at most one line on stderr, and print only finite
-rows; pytest turns every warning into an error.  The examples are drawn
-deterministically, so every run of the suite checks the same inputs.
+one point, and log-h coefficients up to 10^3 in size; for ``limit`` and
+``zeros --subsequence``, rational angles with k up to 10^4 and irrational
+angles down to 1e-300 (1e-3 for the prime families).  Every example must
+exit 0, 2 or 3, print only finite rows, and print at most one line on
+stderr, which starts ``config error:`` for exit 2 and ``numeric error:``
+for exit 3; pytest turns every warning into an error.  The examples are
+drawn deterministically, so every run of the suite checks the same inputs.
 """
 
 import contextlib
@@ -29,9 +32,16 @@ points = st.one_of(
     st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
 )
 logh_coeffs = st.lists(st.floats(-1000.0, 1000.0), min_size=2, max_size=4)
+# "s/k" with 0 < s < k <= 10^4
+rational_angles = st.integers(2, 10_000).flatmap(
+    lambda k: st.integers(1, k - 1).map(lambda s: f"{s}/{k}")
+)
+
+ENTROPY_HEADER = "n,x,shannon,divergence,d_infinity,gap"
+PREFIXES = {2: "config error: ", 3: "numeric error: "}
 
 
-def check_run(argv):
+def check_run(argv, header=ENTROPY_HEADER):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -40,12 +50,15 @@ def check_run(argv):
     assert err.count("\n") <= 1, (argv, err)
     if code == 0:
         lines = out.splitlines()
-        assert lines[0] == "n,x,shannon,divergence,d_infinity,gap"
+        assert lines[0] == header
+        names = header.split(",")
         for line in lines[1:]:
-            cells = [float(c) for c in line.split(",") if c]
+            cells = [float(c) for name, c in zip(names, line.split(","))
+                     if c and name != "angle_type"]
             assert all(map(math.isfinite, cells)), (argv, line)
     else:
         assert out == ""
+        assert err.startswith(PREFIXES[code]), (argv, err)
 
 
 def weight_args(alpha, beta):
@@ -74,3 +87,27 @@ def test_grid(alpha, beta, a, b, count, ns):
 def test_non_constant_h(alpha, beta, x, n, coeffs):
     check_run(["entropy", f"--x={x!r}", "--n", str(n), *weight_args(alpha, beta),
                f"--logh-coeffs={','.join(map(repr, coeffs))}"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=exponents, beta=exponents,
+       angle=st.one_of(
+           rational_angles.map(lambda a: f"--angle={a}"),
+           st.floats(1e-300, math.pi, exclude_max=True).map(lambda t: f"--theta={t!r}"),
+       ))
+def test_limit(alpha, beta, angle):
+    check_run(["limit", angle, *weight_args(alpha, beta)],
+              header="theta,angle_type,s,k,phase_average,d_infinity,cheb_t_closed_form")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["T", "U"]), count=st.integers(1, 20),
+       family_angle=st.one_of(
+           st.tuples(st.sampled_from(["2", "4"]), rational_angles.map(lambda a: f"--angle={a}")),
+           st.tuples(st.sampled_from(["1", "3"]),
+                     st.floats(1e-3, math.pi, exclude_max=True).map(lambda t: f"--theta={t!r}")),
+       ))
+def test_zero_subsequence(kind, count, family_angle):
+    family, angle = family_angle
+    check_run(["zeros", "--kind", kind, "--subsequence", family, angle, "--count", str(count)],
+              header="n,j,zero,closed_form,direct,diff")

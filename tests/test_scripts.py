@@ -6,8 +6,8 @@ from orthoentropy import (
     RationalAngle,
     christoffel_distribution,
     entropy_correction,
-    kl_divergence,
     limit_divergence,
+    shannon_entropy,
     weight_recurrence,
     zero_entropy_gaps,
     zero_subsequence,
@@ -37,7 +37,7 @@ def test_divergence_convergence_matches_per_size_route(capsys):
             limit = limit_divergence(weight, angle)
             x = math.cos(angle.theta)
             for size in (100, 200, 400):
-                divergence = kl_divergence(christoffel_distribution(rec, x, size))
+                divergence = math.log(size) - shannon_entropy(christoffel_distribution(rec, x, size))
                 expected.append((wname, aname, size, divergence, limit))
     assert len(lines) == len(expected)
     for line, (wname, aname, size, divergence, limit) in zip(lines, expected):
