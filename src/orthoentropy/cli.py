@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
+import numpy as np
+
 from .asymptotics import (
     Angle,
     IrrationalAngle,
@@ -46,6 +48,7 @@ from .orthopoly import WeightSpec, chebyshev_zero, weight_recurrence
 
 _LOG2 = math.log(2.0)
 _KIND_BY_FLAG = {"T": "first", "U": "second"}
+_SIZE_MAX = np.iinfo(np.intp).max  # the largest size numpy can index
 
 
 @dataclass(frozen=True)
@@ -174,8 +177,6 @@ def _resolve_weight(args: argparse.Namespace) -> WeightSpec:
         beta = args.beta
     if getattr(args, "logh_coeffs", None) is not None:
         logh = _parse_logh(args.logh_coeffs)
-    if alpha is None and beta is None and logh is None:
-        return WeightSpec.chebyshev_t()
     return WeightSpec(
         alpha if alpha is not None else -0.5,
         beta if beta is not None else -0.5,
@@ -212,8 +213,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad --x-grid value {text!r}: {exc}") from exc
     if step <= 0.0 or b < a:
         raise ConfigError("--x-grid needs a <= b and step > 0")
-    count = int(math.floor((b - a) / step + 1e-12)) + 1
-    return tuple(a + i * step for i in range(count))
+    last = (b - a) / step + 1e-12
+    if not last < _SIZE_MAX:  # NaN too
+        raise ConfigError(f"--x-grid {text!r} has more points than numpy can index")
+    return tuple(a + i * step for i in range(int(last) + 1))
 
 
 def _resolve_ns(args: argparse.Namespace) -> tuple[int, ...]:
@@ -226,14 +229,14 @@ def _resolve_ns(args: argparse.Namespace) -> tuple[int, ...]:
             ns = tuple(int(p) for p in schedule.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --n-schedule value: {exc}") from exc
-        if not ns or any(v < 1 for v in ns):
-            raise ConfigError("--n-schedule entries must be positive")
+        if not ns or not all(1 <= v <= _SIZE_MAX for v in ns):
+            raise ConfigError(f"--n-schedule entries must be between 1 and {_SIZE_MAX}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("--n-schedule must be strictly increasing")
         return ns
     if n is not None:
-        if n < 1:
-            raise ConfigError("--n must be >= 1")
+        if not 1 <= n <= _SIZE_MAX:
+            raise ConfigError(f"--n must be between 1 and {_SIZE_MAX}")
         return (n,)
     return ()
 
@@ -248,8 +251,8 @@ def _check_xs(xs) -> tuple[float, ...]:
 def build_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     if command == "verify":
-        if args.n < 64:
-            raise ConfigError("--n must be >= 64 for the kernel-limit checks")
+        if not 64 <= args.n <= _SIZE_MAX:
+            raise ConfigError(f"--n must be between 64 and {_SIZE_MAX} for the kernel-limit checks")
         return RunConfig(
             command=command,
             weight=WeightSpec.chebyshev_t(),
@@ -298,8 +301,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             angle = _resolve_angle(args)
             if angle is None:
                 raise ConfigError("subsequence mode requires --angle or --theta")
-            if args.count < 1:
-                raise ConfigError("--count must be >= 1")
+            if not 1 <= args.count <= _SIZE_MAX:
+                raise ConfigError(f"--count must be between 1 and {_SIZE_MAX}")
             zero_subsequence(args.subsequence, angle, 1)  # checks the family against the angle
             return RunConfig(command, weight, angle=angle, kind=kind,
                              family=args.subsequence, count=args.count,
@@ -362,11 +365,10 @@ def run_entropy(config: RunConfig) -> None:
     d_inf = None
     if config.angle is not None:
         d_inf = limit_divergence(config.weight, config.angle)
-    ns = sorted(config.ns)
-    xs = sorted(config.xs)
     reports = []
-    for n, shannons in zip(ns, christoffel_entropy_grid(rec, xs, ns).tolist()):
-        for x, shannon in zip(xs, shannons):
+    grid = christoffel_entropy_grid(rec, config.xs, config.ns)
+    for n, shannons in zip(config.ns, grid.tolist()):
+        for x, shannon in zip(config.xs, shannons):
             divergence = math.log(n) - shannon
             gap = None if d_inf is None else divergence - d_inf
             reports.append(EntropyReport(n, x, shannon, divergence, d_inf, gap))
@@ -404,7 +406,7 @@ def run_zeros(config: RunConfig) -> None:
     else:
         cases = [
             (n, j, closed_fn(n, j), zero_entropy_direct(kind, n, j))
-            for n in sorted(config.ns)
+            for n in config.ns
             for j in range(1, n + 1)
         ]
     rows = [

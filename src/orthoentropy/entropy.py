@@ -102,7 +102,7 @@ def _grid_blocks(rec: RecurrenceCoefficients, x: np.ndarray, ns: Sequence[int]):
     block = np.empty((_BLOCK, x.size))
     ends = set(ns)
     filled = 0
-    for k, (p, _) in enumerate(_forward(rec, x, ns[-1])):
+    for k, p in enumerate(_forward(rec, x, ns[-1])):
         np.multiply(p, p, out=block[filled])
         filled += 1
         if filled == _BLOCK or k + 1 in ends:

@@ -2,17 +2,19 @@
 
 Weight specifications, monic three-term recurrences (closed form for pure
 Jacobi, Stieltjes procedure for an analytic factor h), orthonormal
-evaluation, Gauss-Jacobi quadrature (Jacobi-matrix eigenvalues, one
-Newton step, Christoffel-number weights), and the exact Chebyshev zeros.
-A recurrence or rule whose computed values fail their checks raises
-NumericError.  Recurrences and rules are immutable once built and all
-evaluations are pure, so everything is freely shareable across threads.
+evaluation, Gauss-Jacobi quadrature (Jacobi-matrix eigenvalues, one Newton
+step, Christoffel-number weights, from passes over values only), and the
+exact Chebyshev zeros.  A recurrence or rule whose computed values fail
+their checks raises NumericError.  Recurrences and rules are immutable
+once built and all evaluations are pure, so everything is freely
+shareable across threads.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,26 +168,21 @@ class WeightSpec:
 class RecurrenceCoefficients:
     """Monic recurrence data: pi_{k+1} = (x - a[k]) pi_k - b[k] pi_{k-1}.
 
-    ``b[0]`` stores the total mass of the weight with c_0 = 0 (see
-    :class:`WeightSpec`) and every b is positive.
-    Orthonormal values are generated on the fly from these coefficients,
-    which keeps leading coefficients out of the arithmetic and avoids
-    overflow at large degree.
+    ``a`` and ``b`` share one length, ``n_max``, the number of values they
+    define.  ``b[0]`` stores the total mass of the weight with c_0 = 0 (see
+    :class:`WeightSpec`) and every b is positive.  Orthonormal values are
+    generated on the fly, which keeps leading coefficients out of the
+    arithmetic and avoids overflow at large degree.
     """
 
-    n_max: int
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
         a = np.array(self.a, dtype=float)
         b = np.array(self.b, dtype=float)
-        if a.ndim != 1 or b.ndim != 1:
-            raise ValueError("coefficient arrays must be one-dimensional")
-        if len(a) < self.n_max or len(b) < self.n_max:
-            raise ValueError("coefficient arrays must have length >= n_max")
+        if a.ndim != 1 or a.shape != b.shape or a.size == 0:
+            raise ValueError("coefficient arrays must be nonempty 1-d arrays of one length")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise NumericError("recurrence coefficients must be finite")
         if not np.all(b > 0.0):
@@ -194,6 +191,10 @@ class RecurrenceCoefficients:
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @property
+    def n_max(self) -> int:
+        return self.a.size
 
 
 def jacobi_recurrence(alpha: float, beta: float, n_max: int) -> RecurrenceCoefficients:
@@ -228,7 +229,7 @@ def jacobi_recurrence(alpha: float, beta: float, n_max: int) -> RecurrenceCoeffi
             k = np.arange(2, n_max, dtype=float)
             s = 2.0 * k + ab
             b[2:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0))
-    return RecurrenceCoefficients(n_max, a, b)
+    return RecurrenceCoefficients(a, b)
 
 
 def stieltjes_recurrence(
@@ -277,7 +278,7 @@ def stieltjes_recurrence(
             b[k + 1] = b_next
             sqrt_b = math.sqrt(b_next)
             q_prev, q = q, r / sqrt_b
-    return RecurrenceCoefficients(n_max, a, b)
+    return RecurrenceCoefficients(a, b)
 
 
 def weight_recurrence(weight: WeightSpec, n_max: int) -> RecurrenceCoefficients:
@@ -316,43 +317,39 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def _forward(rec: RecurrenceCoefficients, x: np.ndarray, n: int, derivative: bool = False):
-    """Yield (p_k(x), p_k'(x)) at every point of the array x, k = 0, ..., n-1.
+def _forward(rec: RecurrenceCoefficients, x: np.ndarray, n: int):
+    """Yield the array p_k(x) over every point of the array x, k = 0, ..., n-1.
 
     The recurrence over many points, shared by the grid entropies and
     :func:`gauss_jacobi`.  p_{k+1} is
     ((x - a_k) p_k - sqrt(b_k) p_{k-1}) / sqrt(b_{k+1}), the operations of
     :func:`eval_orthonormal` in its order, so each point gets the same bits
-    as a single-point pass.  p_k' follows the differentiated recurrence
-    only when ``derivative`` is set and is None otherwise: 5 array
-    operations per step, 10 with the derivative.  Each step yields new
-    arrays, so memory is O(x.size) when the caller keeps none of them.
+    as a single-point pass: 5 array operations per step.  Each step yields
+    a new array, so memory is O(x.size) when the caller keeps none of them.
     """
     sb = np.sqrt(rec.b[:n]).tolist()
     p_prev = np.zeros_like(x)
     p = np.full_like(x, 1.0 / sb[0])
-    d_prev = d = np.zeros_like(x) if derivative else None
-    yield p, d
+    yield p
     for a_k, sb_k, sb_next in zip(rec.a[: n - 1].tolist(), sb, sb[1:]):
-        xa = x - a_k
-        p_next = (xa * p - sb_k * p_prev) / sb_next
-        if derivative:
-            d_prev, d = d, (p + xa * d - sb_k * d_prev) / sb_next
-        p_prev, p = p, p_next
-        yield p, d
+        p_prev, p = p, ((x - a_k) * p - sb_k * p_prev) / sb_next
+        yield p
 
 
 def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
     """Gauss-Jacobi rule for the weight (1-x)^alpha * (1+x)^beta.
 
-    Jacobi-matrix eigenvalues polished by one Newton step on p_size, with
-    the Christoffel numbers 1 / sum_{k<size} p_k^2 there as weights: O(size)
-    memory and relatively accurate weights (Hale & Townsend, SIAM J. Sci.
-    Comput. 35, 2013), where Golub-Welsch eigenvector weights are not.
-    Both passes run :func:`_forward` over all nodes at once; the Newton
-    pass forms p and p', the weight pass p and the running sum of p^2.
-    A node whose sum overflows has a weight below the smallest double and
-    is left out (next to the endpoint of a large exponent in a large rule).
+    Jacobi-matrix eigenvalues (ascending) polished by one Newton step on
+    p_N, N = size, with the Christoffel numbers 1 / sum_{k<N} p_k^2 there as
+    weights: O(N) memory and relatively accurate weights (Hale & Townsend,
+    SIAM J. Sci. Comput. 35, 2013), where Golub-Welsch eigenvector weights
+    are not.  Both passes run :func:`_forward` over all nodes and form
+    values only; the Newton step takes p_N' from the Jacobi relation
+    (1 - x^2) p_N' = N ((alpha - beta) / s - x) p_N + (s + 1) sqrt(b_N) p_{N-1},
+    s = 2N + alpha + beta (Szego (4.5.7)), exact at every x and not only
+    at a zero like the Christoffel-Darboux form.  A node whose sum
+    overflows has a weight below the smallest double and is left out
+    (next to the endpoint of a large exponent).
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -361,15 +358,15 @@ def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
         nodes = eigvalsh_tridiagonal(rec.a[:size], np.sqrt(rec.b[1:size]))
     except Exception as exc:
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+    s = 2 * size + alpha + beta
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, dp in _forward(rec, nodes, size + 1, derivative=True):
-            pass
+        p_prev, p = deque(_forward(rec, nodes, size + 1), maxlen=2)
+        dp = (size * ((alpha - beta) / s - nodes) * p
+              + (s + 1.0) * math.sqrt(rec.b[size]) * p_prev) / ((1.0 - nodes) * (1.0 + nodes))
         nodes = nodes - p / dp
-        ksum = sum(p * p for p, _ in _forward(rec, nodes, size))
+        ksum = sum(p * p for p in _forward(rec, nodes, size))
     kept = np.isfinite(ksum)
-    nodes, ksum = nodes[kept], ksum[kept]
-    order = np.argsort(nodes)
-    return QuadratureRule(nodes[order], 1.0 / ksum[order])
+    return QuadratureRule(nodes[kept], 1.0 / ksum[kept])
 
 
 def eval_orthonormal(rec: RecurrenceCoefficients, x: float, n: int) -> np.ndarray:

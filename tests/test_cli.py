@@ -218,6 +218,15 @@ class TestExitCodes:
                      id="family2_big_k"),
         pytest.param(["zeros", "--kind", "T", "--subsequence", "4", "--angle", f"1/{BIG_K}"],
                      id="family4_big_k"),
+        # sizes and point counts that numpy cannot index
+        pytest.param(["zeros", "--kind", "T", "--n", str(10 ** 400)], id="zeros_n_10e400"),
+        pytest.param(["scan", "--x-grid=-1e308:1e308:1", "--n", "5"], id="grid_span_inf"),
+        pytest.param(["entropy", "--x", "0.3", "--n-schedule", f"10,{10 ** 30}"],
+                     id="schedule_10e30"),
+        pytest.param(["verify", "--n", str(10 ** 30)], id="verify_n_10e30"),
+        pytest.param(["scan", "--x-grid=0:0.5:1e-300", "--n", "5"], id="grid_count_5e299"),
+        pytest.param(["zeros", "--kind", "U", "--subsequence", "4", "--angle", "1/3",
+                      "--count", str(10 ** 30)], id="count_10e30"),
     ])
     def test_config_error_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -84,7 +84,7 @@ class TestChristoffelDistribution:
     def test_normalization_independence(self):
         b7 = LEGENDRE_REC.b.copy()
         b7[0] *= 7.0
-        scaled = RecurrenceCoefficients(LEGENDRE_REC.n_max, LEGENDRE_REC.a, b7)
+        scaled = RecurrenceCoefficients(LEGENDRE_REC.a, b7)
         for n in (1, 3, 20):
             a = christoffel_distribution(LEGENDRE_REC, 0.37, n).probs
             b = christoffel_distribution(scaled, 0.37, n).probs
