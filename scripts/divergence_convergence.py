@@ -23,7 +23,7 @@ from orthoentropy import (
     limit_divergence,
     weight_recurrence,
 )
-from orthoentropy.entropy import csv_line
+from orthoentropy.cli import csv_line
 
 WEIGHTS = {
     "chebyshev_t": WeightSpec.chebyshev_t(),

@@ -20,7 +20,7 @@ from orthoentropy import (
     zero_entropy_gaps,
     zero_subsequence,
 )
-from orthoentropy.entropy import csv_line, format_float
+from orthoentropy.cli import csv_line, format_float
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,7 +27,6 @@ from .asymptotics import (
 )
 from .entropy import (
     DiscreteDistribution,
-    EntropyReport,
     chebyshev_distribution_entropy,
     christoffel_distribution,
     christoffel_entropy_grid,

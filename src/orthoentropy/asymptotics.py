@@ -116,7 +116,9 @@ def phase_shift(weight: WeightSpec, theta: float) -> float:
     sum_m c_m sin(m*theta).  The sine series is the exact finite Hilbert
     transform of log h expanded in the Chebyshev basis, so the
     principal-value integral never needs numerical excision here; the
-    constant coefficient c_0 contributes nothing.
+    constant coefficient c_0 contributes nothing.  Raises NumericError
+    when the phase overflows, for exponents or coefficients near the
+    largest double.
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
@@ -125,7 +127,10 @@ def phase_shift(weight: WeightSpec, theta: float) -> float:
     for m, c in enumerate(weight.logh_cheb):
         if c != 0.0:
             series += c * math.sin(m * theta)
-    return base + 0.5 * series
+    phase = base + 0.5 * series
+    if not math.isfinite(phase):
+        raise NumericError(f"the phase at theta = {theta!r} is not finite")
+    return phase
 
 
 _EXCISION_RATIO = 2.0
@@ -340,13 +345,10 @@ def zero_entropy_gaps(
     _require_kind(kind)
     closed = zero_entropy_first_kind if kind == "first" else zero_entropy_second_kind
     theta = angle.theta
-    gaps = []
-    entropy_at_x: dict[int, float] = {}
-    for item in items:
-        if item.n not in entropy_at_x:
-            entropy_at_x[item.n] = chebyshev_distribution_entropy(kind, item.n, theta)
-        gaps.append(closed(item.n, item.j) - entropy_at_x[item.n])
-    return gaps
+    return [
+        closed(item.n, item.j) - chebyshev_distribution_entropy(kind, item.n, theta)
+        for item in items
+    ]
 
 
 def identity_suite() -> list[tuple[str, float]]:

@@ -5,6 +5,12 @@ Subcommands: entropy, limit, zeros, verify, scan.  Data commands emit CSV
 float formatting, so identical configurations produce byte-identical
 output.
 
+The command name is dispatched once, in ``build_config``: it checks the
+arguments and returns the command's runner with exactly that command's
+validated inputs bound, and ``main`` calls it.  Every row format lives
+here: the row records, whose field names are the CSV header and the JSON
+keys, ``csv_line`` and ``format_float``.
+
 Exit codes: 0 ok, 1 verification failure, 2 configuration error, 3
 numerical failure.  The code follows from the exception type alone: a
 ValueError (ConfigError is one) raised while ``build_config`` turns the
@@ -19,7 +25,9 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -36,9 +44,7 @@ from .asymptotics import (
 )
 from .checks import CHECKS, verify_scope
 from .entropy import (
-    EntropyReport,
     christoffel_entropy_grid,
-    csv_line,
     zero_entropy_direct,
     zero_entropy_first_kind,
     zero_entropy_second_kind,
@@ -49,23 +55,6 @@ from .orthopoly import WeightSpec, chebyshev_zero, weight_recurrence
 _LOG2 = math.log(2.0)
 _KIND_BY_FLAG = {"T": "first", "U": "second"}
 _SIZE_MAX = np.iinfo(np.intp).max  # the largest size numpy can index
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one CLI invocation."""
-
-    command: str
-    weight: WeightSpec
-    angle: Angle | None = None
-    xs: tuple[float, ...] = ()
-    ns: tuple[int, ...] = ()
-    kind: str | None = None
-    family: int | None = None
-    count: int | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    universality_n: int = 4000
 
 
 def _add_weight_args(parser: argparse.ArgumentParser) -> None:
@@ -149,7 +138,7 @@ def _parse_logh(text: str) -> tuple[float, ...]:
 
 def _resolve_weight(args: argparse.Namespace) -> WeightSpec:
     alpha, beta, logh = None, None, None
-    if getattr(args, "weight", None) is not None:
+    if args.weight is not None:
         try:
             with open(args.weight, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -171,11 +160,11 @@ def _resolve_weight(args: argparse.Namespace) -> WeightSpec:
                 f"warning: {', '.join(inline)} override values from {args.weight}",
                 file=sys.stderr,
             )
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         alpha = args.alpha
-    if getattr(args, "beta", None) is not None:
+    if args.beta is not None:
         beta = args.beta
-    if getattr(args, "logh_coeffs", None) is not None:
+    if args.logh_coeffs is not None:
         logh = _parse_logh(args.logh_coeffs)
     return WeightSpec(
         alpha if alpha is not None else -0.5,
@@ -185,8 +174,7 @@ def _resolve_weight(args: argparse.Namespace) -> WeightSpec:
 
 
 def _resolve_angle(args: argparse.Namespace) -> Angle | None:
-    angle_text = getattr(args, "angle", None)
-    theta = getattr(args, "theta", None)
+    angle_text, theta = args.angle, args.theta
     if angle_text is not None and theta is not None:
         raise ConfigError("give either --angle or --theta, not both")
     if angle_text is not None:
@@ -220,8 +208,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _resolve_ns(args: argparse.Namespace) -> tuple[int, ...]:
-    n = getattr(args, "n", None)
-    schedule = getattr(args, "n_schedule", None)
+    n, schedule = args.n, args.n_schedule
     if n is not None and schedule is not None:
         raise ConfigError("give either --n or --n-schedule, not both")
     if schedule is not None:
@@ -248,52 +235,19 @@ def _check_xs(xs) -> tuple[float, ...]:
     return tuple(xs)
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args: argparse.Namespace) -> Callable[[], int | None]:
+    """Check the arguments and bind them to their command's runner.
+
+    Calling the result runs the command: ``verify`` returns its exit code,
+    the data commands return None.
+    """
     command = args.command
     if command == "verify":
         if not 64 <= args.n <= _SIZE_MAX:
             raise ConfigError(f"--n must be between 64 and {_SIZE_MAX} for the kernel-limit checks")
-        return RunConfig(
-            command=command,
-            weight=WeightSpec.chebyshev_t(),
-            fmt=args.fmt,
-            out=args.out,
-            universality_n=args.n,
-        )
+        return partial(run_verify, args.n, args.fmt, args.out)
 
-    weight = _resolve_weight(args)
-
-    if command == "limit":
-        angle = _resolve_angle(args)
-        if angle is None:
-            raise ConfigError("limit requires --angle or --theta")
-        return RunConfig(command, weight, angle=angle, fmt=args.fmt, out=args.out)
-
-    if command in ("entropy", "scan"):
-        ns = _resolve_ns(args)
-        if not ns:
-            raise ConfigError(f"{command} requires --n or --n-schedule")
-        if command == "scan":
-            xs = _check_xs(_parse_grid(args.x_grid))
-            return RunConfig(command, weight, xs=xs, ns=ns, fmt=args.fmt, out=args.out)
-        angle = _resolve_angle(args)
-        sources = [
-            args.x is not None,
-            args.x_grid is not None,
-            angle is not None,
-        ]
-        if sum(sources) != 1:
-            raise ConfigError(
-                "entropy requires exactly one of --x, --x-grid, --angle, --theta"
-            )
-        if angle is not None:
-            xs = _check_xs((math.cos(angle.theta),))
-        elif args.x is not None:
-            xs = _check_xs((args.x,))
-        else:
-            xs = _check_xs(_parse_grid(args.x_grid))
-        return RunConfig(command, weight, angle=angle, xs=xs, ns=ns,
-                         fmt=args.fmt, out=args.out)
+    emit = partial(_emit_rows, args.fmt, args.out)
 
     if command == "zeros":
         kind = _KIND_BY_FLAG[args.kind]
@@ -303,24 +257,86 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError("subsequence mode requires --angle or --theta")
             if not 1 <= args.count <= _SIZE_MAX:
                 raise ConfigError(f"--count must be between 1 and {_SIZE_MAX}")
-            zero_subsequence(args.subsequence, angle, 1)  # checks the family against the angle
-            return RunConfig(command, weight, angle=angle, kind=kind,
-                             family=args.subsequence, count=args.count,
-                             fmt=args.fmt, out=args.out)
+            # raises ValueError when the family does not fit the angle
+            items = zero_subsequence(args.subsequence, angle, args.count)
+            return partial(run_zero_subsequence, kind, angle, items, emit)
         ns = _resolve_ns(args)
         if not ns:
             raise ConfigError("zeros requires --n, --n-schedule, or --subsequence")
-        return RunConfig(command, weight, ns=ns, kind=kind, fmt=args.fmt, out=args.out)
+        return partial(run_zeros, kind, ns, emit)
 
-    raise ConfigError(f"unknown command {command!r}")
+    weight = _resolve_weight(args)
 
+    if command == "limit":
+        angle = _resolve_angle(args)
+        if angle is None:
+            raise ConfigError("limit requires --angle or --theta")
+        return partial(run_limit, weight, angle, emit)
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out is None:
-        sys.stdout.write(text)
+    # entropy and scan
+    ns = _resolve_ns(args)
+    if not ns:
+        raise ConfigError(f"{command} requires --n or --n-schedule")
+    if command == "scan":
+        xs = _check_xs(_parse_grid(args.x_grid))
+        return partial(run_entropy, weight, None, xs, ns, emit)
+    angle = _resolve_angle(args)
+    sources = [
+        args.x is not None,
+        args.x_grid is not None,
+        angle is not None,
+    ]
+    if sum(sources) != 1:
+        raise ConfigError(
+            "entropy requires exactly one of --x, --x-grid, --angle, --theta"
+        )
+    if angle is not None:
+        xs = _check_xs((math.cos(angle.theta),))
+    elif args.x is not None:
+        xs = _check_xs((args.x,))
     else:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        xs = _check_xs(_parse_grid(args.x_grid))
+    return partial(run_entropy, weight, angle, xs, ns, emit)
+
+
+def format_float(value: float) -> str:
+    """Fixed 17-significant-digit formatting; round-trips any double."""
+    return f"{value:.17g}"
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return format_float(value)
+    return "" if value is None else str(value)
+
+
+def csv_line(cells) -> str:
+    """Comma-joined cells: float by format_float, None empty, others (str, int) by str."""
+    return ",".join(map(_csv_cell, cells))
+
+
+@dataclass(frozen=True)
+class EntropyReport:
+    """One ``entropy``/``scan`` output row: (n, x, entropy, divergence, limit, gap).
+
+    n is checked with ValueError; the entropy and the divergence are
+    computed values, whose ranges are checked with NumericError.
+    """
+
+    n: int
+    x: float
+    shannon: float
+    divergence: float
+    d_infinity: float | None = None
+    gap: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if not -1e-12 <= self.shannon <= math.log(self.n) + 1e-12:
+            raise NumericError("entropy outside [0, log n]")
+        if self.divergence < -1e-12:
+            raise NumericError("divergence must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -348,79 +364,84 @@ class ZeroRow:
     diff: float
 
 
-def _emit_rows(config: RunConfig, rows: list) -> None:
+def _write(out: str | None, text: str) -> None:
+    """Write text to the file ``out``, or to stdout when it is None."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
+def _emit_rows(fmt: str, out: str | None, rows: list) -> None:
     """Write dataclass rows; their field names are the CSV header and the JSON keys."""
     names = [f.name for f in fields(rows[0])]
     cells = attrgetter(*names)
-    if config.fmt == "json":
+    if fmt == "json":
         records = [dict(zip(names, cells(row))) for row in rows]
-        _emit(config, json.dumps(records, indent=2) + "\n")
+        _write(out, json.dumps(records, indent=2) + "\n")
     else:
         lines = [",".join(names)] + [csv_line(cells(row)) for row in rows]
-        _emit(config, "\n".join(lines) + "\n")
+        _write(out, "\n".join(lines) + "\n")
 
 
-def run_entropy(config: RunConfig) -> None:
-    rec = weight_recurrence(config.weight, max(config.ns))
-    d_inf = None
-    if config.angle is not None:
-        d_inf = limit_divergence(config.weight, config.angle)
+def run_entropy(weight: WeightSpec, angle: Angle | None, xs: tuple[float, ...],
+                ns: tuple[int, ...], emit: Callable[[list], None]) -> None:
+    rec = weight_recurrence(weight, max(ns))
+    d_inf = None if angle is None else limit_divergence(weight, angle)
     reports = []
-    grid = christoffel_entropy_grid(rec, config.xs, config.ns)
-    for n, shannons in zip(config.ns, grid.tolist()):
-        for x, shannon in zip(config.xs, shannons):
+    grid = christoffel_entropy_grid(rec, xs, ns)
+    for n, shannons in zip(ns, grid.tolist()):
+        for x, shannon in zip(xs, shannons):
             divergence = math.log(n) - shannon
             gap = None if d_inf is None else divergence - d_inf
             reports.append(EntropyReport(n, x, shannon, divergence, d_inf, gap))
-    _emit_rows(config, reports)
+    emit(reports)
 
 
-def run_limit(config: RunConfig) -> None:
-    angle = config.angle
-    weight = config.weight
+def run_limit(weight: WeightSpec, angle: Angle, emit: Callable[[list], None]) -> None:
     if isinstance(angle, RationalAngle):
         average = phase_average(weight, angle)
         is_cheb_t = weight.alpha == -0.5 and weight.beta == -0.5 and weight.trivial_h
-        closed = (
-            chebyshev_divergence_limit(angle.k) if (is_cheb_t and angle.k >= 2) else None
-        )
+        closed = chebyshev_divergence_limit(angle.k) if is_cheb_t else None
         # limit_divergence's rational form, without a second phase average
         row = LimitRow(angle.theta, "rational", angle.s, angle.k,
                        average, _LOG2 + 2.0 * average, closed)
     else:
         row = LimitRow(angle.theta, "irrational", None, None, 0.5 - _LOG2,
                        limit_divergence(weight, angle), None)
-    _emit_rows(config, [row])
+    emit([row])
 
 
-def run_zeros(config: RunConfig) -> None:
-    kind = config.kind
+def _zero_row(kind: str, n: int, j: int, closed: float, direct: float) -> ZeroRow:
+    return ZeroRow(n, j, chebyshev_zero(kind, n, j), closed, direct, closed - direct)
+
+
+def run_zeros(kind: str, ns: tuple[int, ...], emit: Callable[[list], None]) -> None:
     closed_fn = zero_entropy_first_kind if kind == "first" else zero_entropy_second_kind
-    if config.family is not None:
-        items = zero_subsequence(config.family, config.angle, config.count)
-        gaps = zero_entropy_gaps(kind, config.angle, items)
-        cases = []
-        for item, gap in zip(items, gaps):
-            closed = closed_fn(item.n, item.j)
-            cases.append((item.n, item.j, closed, closed - gap))
-    else:
-        cases = [
-            (n, j, closed_fn(n, j), zero_entropy_direct(kind, n, j))
-            for n in config.ns
-            for j in range(1, n + 1)
-        ]
-    rows = [
-        ZeroRow(n, j, chebyshev_zero(kind, n, j), closed, direct, closed - direct)
-        for n, j, closed, direct in cases
-    ]
-    _emit_rows(config, rows)
+    emit([
+        _zero_row(kind, n, j, closed_fn(n, j), zero_entropy_direct(kind, n, j))
+        for n in ns
+        for j in range(1, n + 1)
+    ])
 
 
-def run_verify(config: RunConfig) -> int:
+def run_zero_subsequence(kind: str, angle: Angle, items: list,
+                         emit: Callable[[list], None]) -> None:
+    closed_fn = zero_entropy_first_kind if kind == "first" else zero_entropy_second_kind
+    rows = []
+    for item, gap in zip(items, zero_entropy_gaps(kind, angle, items)):
+        closed = closed_fn(item.n, item.j)
+        # direct is the entropy at the angle; closed - direct is not bit-equal to gap
+        rows.append(_zero_row(kind, item.n, item.j, closed, closed - gap))
+    emit(rows)
+
+
+def run_verify(universality_n: int, fmt: str, out: str | None) -> int:
     lines = []
     results = []
     all_pass = True
-    scope = verify_scope(config.universality_n)
+    scope = verify_scope(universality_n)
     for check in CHECKS:
         for name, error, tol in check(scope):
             ok = error < tol
@@ -429,30 +450,22 @@ def run_verify(config: RunConfig) -> int:
             lines.append(f"{status} {name:30s} error={error: .3e} tol={tol:.3e}")
             results.append({"name": name, "error": error, "tol": tol, "passed": ok})
     summary = f"verify: {sum(r['passed'] for r in results)}/{len(results)} checks passed"
-    if config.fmt == "json":
-        _emit(config, json.dumps({"checks": results, "passed": all_pass}, indent=2) + "\n")
+    if fmt == "json":
+        _write(out, json.dumps({"checks": results, "passed": all_pass}, indent=2) + "\n")
     else:
-        _emit(config, "\n".join(lines + [summary]) + "\n")
+        _write(out, "\n".join(lines + [summary]) + "\n")
     return 0 if all_pass else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = build_config(args)
+        job = build_config(args)
     except ValueError as exc:  # ConfigError is one
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if config.command == "verify":
-            return run_verify(config)
-        if config.command in ("entropy", "scan"):
-            run_entropy(config)
-        elif config.command == "limit":
-            run_limit(config)
-        elif config.command == "zeros":
-            run_zeros(config)
-        return 0
+        return job() or 0
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,8 @@ Chebyshev weights the entropy at a zero of p_n has an exact closed form
 in terms of the entropy-correction function and an integer gcd.
 
 Every entropy row comes from one streamed reduction; direct summation of
-a validated distribution stays as its independent oracle.
+a validated distribution stays as its independent oracle.  This module
+holds numerics only: how a row is printed is decided in ``cli``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ from .specfun import entropy_correction
 
 __all__ = [
     "DiscreteDistribution",
-    "EntropyReport",
     "chebyshev_distribution_entropy",
     "christoffel_distribution",
     "christoffel_entropy_grid",
-    "csv_line",
-    "format_float",
     "shannon_entropy",
     "zero_entropy_direct",
     "zero_entropy_first_kind",
@@ -250,48 +248,3 @@ def zero_entropy_direct(kind: str, n: int, j: int) -> float:
     else:
         theta = j * math.pi / (n + 1)
     return chebyshev_distribution_entropy(kind, n, theta)
-
-
-def format_float(value: float) -> str:
-    """Fixed 17-significant-digit formatting; round-trips any double."""
-    return f"{value:.17g}"
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return format_float(value)
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return str(value)
-
-
-def csv_line(cells) -> str:
-    """Comma-joined cells: float by format_float, None empty, str as is, int by str."""
-    return ",".join(map(_csv_cell, cells))
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """One output row: (n, x, entropy, divergence, limit, gap to the limit).
-
-    The field names are the CSV header and the JSON keys of the row.
-    n is checked with ValueError; the entropy and the divergence are
-    computed values, whose ranges are checked with NumericError.
-    """
-
-    n: int
-    x: float
-    shannon: float
-    divergence: float
-    d_infinity: float | None = None
-    gap: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not -1e-12 <= self.shannon <= math.log(self.n) + 1e-12:
-            raise NumericError("entropy outside [0, log n]")
-        if self.divergence < -1e-12:
-            raise NumericError("divergence must be nonnegative")

@@ -55,6 +55,11 @@ def _scalar_or_array(out: np.ndarray):
     return out if out.ndim else out.item()
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Weight (1-x)^alpha * (1+x)^beta * h(x) on [-1, 1].
@@ -100,14 +105,23 @@ class WeightSpec:
 
     @classmethod
     def from_dict(cls, data) -> "WeightSpec":
-        """Build from the JSON record {"alpha": .., "beta": .., "logh_cheb": [..]}."""
+        """Build from the JSON record {"alpha": .., "beta": .., "logh_cheb": [..]}.
+
+        alpha and beta must be numbers and logh_cheb, which may be left
+        out, a list of numbers; any other key or type raises ValueError.
+        """
+        if not (isinstance(data, dict)
+                and {"alpha", "beta"} <= data.keys() <= {"alpha", "beta", "logh_cheb"}):
+            raise ValueError("invalid weight record: the keys must be alpha, beta "
+                             "and optionally logh_cheb")
+        logh = data.get("logh_cheb", [])
+        if not (_is_number(data["alpha"]) and _is_number(data["beta"])
+                and isinstance(logh, list) and all(map(_is_number, logh))):
+            raise ValueError("invalid weight record: alpha and beta must be numbers "
+                             "and logh_cheb a list of numbers")
         try:
-            return cls(
-                float(data["alpha"]),
-                float(data["beta"]),
-                tuple(float(c) for c in data.get("logh_cheb", ())),
-            )
-        except (KeyError, TypeError) as exc:
+            return cls(float(data["alpha"]), float(data["beta"]), tuple(map(float, logh)))
+        except OverflowError as exc:  # an integer too large for a float
             raise ValueError(f"invalid weight record: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -142,8 +156,8 @@ class WeightSpec:
         """
         m = 64
         while m < _H_SAMPLES_MAX:
-            log_h = np.asarray(self.log_h(np.cos((np.arange(m) + 0.5) * math.pi / m)))
             with np.errstate(over="ignore"):
+                log_h = np.asarray(self.log_h(np.cos((np.arange(m) + 0.5) * math.pi / m)))
                 h = np.exp(log_h)
             if not np.all(np.isfinite(h)):
                 raise NumericError(

@@ -86,6 +86,21 @@ class TestEntropyCommand:
         # alpha=0, beta=0.5 after the override; just confirm it ran on something
         assert len(parse_csv(out)[1]) == 1
 
+    @pytest.mark.parametrize("record", [
+        '{"alpha": 0.5, "beta": 0.5, "logh_cheb": "12"}',
+        '{"alpha": 0.5, "beta": 0.5, "logh": [0, 1]}',
+        '{"alpha": true, "beta": 0.5}',
+        '{"alpha": 0.5, "beta": 0.5, "logh_cheb": [0, "1"]}',
+        '{"alpha": 1' + "0" * 400 + ', "beta": 0.5}',
+    ], ids=["logh_string", "misspelt_key", "alpha_bool", "logh_string_entry", "alpha_huge_int"])
+    def test_weight_file_outside_schema_exits_2(self, capsys, tmp_path, record):
+        path = tmp_path / "weight.json"
+        path.write_text(record)
+        code, out, err = run_cli(capsys, "entropy", "--weight", str(path), "--x", "0.3", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: invalid weight record: ") and err.count("\n") == 1
+
     def test_missing_weight_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "entropy", "--weight", str(tmp_path / "nope.json"), "--x", "0", "--n", "2"
@@ -119,8 +134,8 @@ class TestEntropyCommand:
         _, rows = parse_csv(out)
         assert abs(float(rows[0][2]) - 3.4472124307842) < 1e-12
 
-    # h overflows at one end of the interval
-    @pytest.mark.parametrize("coeffs", ["0,800", "0,-800"])
+    # h overflows at one end of the interval; in the last case log h does
+    @pytest.mark.parametrize("coeffs", ["0,800", "0,-800", "0,1e308,1e308"])
     def test_numeric_failure_exits_3(self, capsys, coeffs):
         code, _, err = run_cli(
             capsys, "entropy", "--alpha", "0", "--beta", "0",
@@ -236,7 +251,7 @@ class TestExitCodes:
 
     def test_other_errors_propagate(self, monkeypatch):
         # a ValueError while a command runs is a bug, not an exit code
-        def broken(config):
+        def broken(*args):
             raise ValueError("bug")
 
         monkeypatch.setattr(cli, "run_entropy", broken)
@@ -302,6 +317,17 @@ class TestLimitCommand:
         code, _, _ = run_cli(capsys, "limit")
         assert code == 2
 
+    # the phase overflows to inf and then to nan
+    @pytest.mark.parametrize("argv", [
+        ["--angle", "46/64", "--alpha=1.1341413534751845e+308", "--beta=3.604360663812922e+305"],
+        ["--angle", "3/84", "--alpha=1.4233388437930601e+308", "--beta=4.56"],
+    ])
+    def test_phase_overflow_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, "limit", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric error: the phase at theta = ") and err.count("\n") == 1
+
 
 class TestZerosCommand:
     def test_per_zero_rows(self, capsys):
@@ -336,6 +362,14 @@ class TestZerosCommand:
         gaps = [float(r[5]) for r in rows[5:]]
         assert all(g < bound + 0.05 for g in gaps)
         assert bound < 0.0
+
+    def test_subsequence_built_once(self, capsys, monkeypatch):
+        spy = mock.Mock(wraps=cli.zero_subsequence)
+        monkeypatch.setattr(cli, "zero_subsequence", spy)
+        code, _, _ = run_cli(capsys, "zeros", "--kind", "U", "--subsequence", "4",
+                             "--angle", "1/3", "--count", "5")
+        assert code == 0
+        assert spy.call_count == 1
 
     def test_subsequence_needs_angle(self, capsys):
         code, _, _ = run_cli(capsys, "zeros", "--kind", "U", "--subsequence", "4")

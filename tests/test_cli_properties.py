@@ -3,7 +3,10 @@
 alpha and beta near -1 and up to about 2000, x near +-1, n up to 10^5 for
 one point, and log-h coefficients up to 10^3 in size; for ``limit`` and
 ``zeros --subsequence``, rational angles with k up to 10^4 and irrational
-angles down to 1e-300 (1e-3 for the prime families).  Every example must
+angles down to 1e-300 (1e-3 for the prime families).  One more test draws
+alpha and beta from every finite double above -1 and log-h coefficients
+from every finite double, for ``limit`` and one-point ``entropy``.  Every
+example must
 exit 0, 2 or 3, print only finite rows, and print at most one line on
 stderr, which starts ``config error:`` for exit 2 and ``numeric error:``
 for exit 3; pytest turns every warning into an error.  The examples are
@@ -32,6 +35,9 @@ points = st.one_of(
     st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
 )
 logh_coeffs = st.lists(st.floats(-1000.0, 1000.0), min_size=2, max_size=4)
+# every finite double above -1, and every finite double
+any_exponents = st.floats(-1.0, exclude_min=True, allow_infinity=False)
+any_coeffs = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4)
 # "s/k" with 0 < s < k <= 10^4
 rational_angles = st.integers(2, 10_000).flatmap(
     lambda k: st.integers(1, k - 1).map(lambda s: f"{s}/{k}")
@@ -111,3 +117,15 @@ def test_zero_subsequence(kind, count, family_angle):
     family, angle = family_angle
     check_run(["zeros", "--kind", kind, "--subsequence", family, angle, "--count", str(count)],
               header="n,j,zero,closed_form,direct,diff")
+
+
+# the whole finite range: an exponent or a coefficient too large for the
+# arithmetic must exit 3, never warn or print a non-finite row
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(alpha=any_exponents, beta=any_exponents, coeffs=any_coeffs, x=points,
+       n=st.integers(1, 300), angle=rational_angles)
+def test_whole_finite_range(alpha, beta, coeffs, x, n, angle):
+    weight = [*weight_args(alpha, beta), f"--logh-coeffs={','.join(map(repr, coeffs))}"]
+    check_run(["limit", f"--angle={angle}", *weight],
+              header="theta,angle_type,s,k,phase_average,d_infinity,cheb_t_closed_form")
+    check_run(["entropy", f"--x={x!r}", "--n", str(n), *weight])

@@ -8,15 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orthoentropy.cli import RunConfig, _emit_rows
+from orthoentropy.cli import EntropyReport, _emit_rows, csv_line, format_float
 from orthoentropy.entropy import (
     DiscreteDistribution,
-    EntropyReport,
     chebyshev_distribution_entropy,
     christoffel_distribution,
     christoffel_entropy_grid,
-    csv_line,
-    format_float,
     shannon_entropy,
     zero_entropy_direct,
     zero_entropy_first_kind,
@@ -337,7 +334,7 @@ class TestEntropyReport:
 
     def test_json_mirror(self, capsys):
         report = EntropyReport(3, 0.0, 0.5, math.log(3.0) - 0.5)
-        _emit_rows(RunConfig("entropy", WeightSpec.chebyshev_t(), fmt="json"), [report])
+        _emit_rows("json", None, [report])
         (data,) = json.loads(capsys.readouterr().out)
         assert list(data) == ["n", "x", "shannon", "divergence", "d_infinity", "gap"]
         assert data["d_infinity"] is None

@@ -12,7 +12,7 @@ from orthoentropy import (
     zero_entropy_gaps,
     zero_subsequence,
 )
-from orthoentropy.entropy import format_float
+from orthoentropy.cli import format_float
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
