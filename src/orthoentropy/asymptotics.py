@@ -4,11 +4,11 @@ The limiting divergence at x = cos(theta) depends on whether theta/pi is
 rational: it is 1 - log(2) off the rational grid and log(2) plus twice a
 k-point phase average on it.  This module provides the phase function with
 its exact Chebyshev treatment of the principal-value integral, a brute
-force excision oracle for that integral, the phase averages (exact and
-empirical), the closed-form limit for the first-kind Chebyshev weight, the
-bulk cosine approximation of the polynomials, kernel-limit diagnostics,
-the zero subsequence families, and an identity suite tying the averages to
-the entropy-correction function.  Angles are always declared by the
+force excision oracle for that integral, the k-point phase average, the
+closed-form limit for the first-kind Chebyshev weight, the bulk cosine
+approximation of the polynomials, kernel-limit diagnostics, the zero
+subsequence families, and an identity suite tying the averages to the
+entropy-correction function.  Angles are always declared by the
 caller: a float never certifies that theta/pi is rational.
 """
 
@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence, Union
 
 import numpy as np
@@ -270,19 +272,16 @@ class SubsequenceItem:
             raise ValueError(f"need 1 <= j <= n, got (n={self.n}, j={self.j})")
 
 
-def _primes(count: int) -> list[int]:
-    """First ``count`` primes by a growing sieve."""
-    bound = max(64, int(count * (math.log(max(count, 2)) + 2)))
+def _primes() -> Iterator[int]:
+    """The primes in increasing order, each once, by sieves to doubling bounds."""
+    low, bound = 2, 64
     while True:
         sieve = np.ones(bound + 1, dtype=bool)
-        sieve[:2] = False
         for p in range(2, int(bound ** 0.5) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = False
-        found = np.flatnonzero(sieve)
-        if len(found) >= count:
-            return [int(p) for p in found[:count]]
-        bound *= 2
+        yield from (low + int(i) for i in np.flatnonzero(sieve[low:]))
+        low, bound = bound + 1, 2 * bound
 
 
 def zero_subsequence(family: int, angle: Angle, count: int) -> list[SubsequenceItem]:
@@ -303,18 +302,9 @@ def zero_subsequence(family: int, angle: Angle, count: int) -> list[SubsequenceI
         if not isinstance(angle, IrrationalAngle):
             raise ValueError(f"family {family} requires an irrational angle")
         ratio = angle.theta / math.pi
-        items: list[SubsequenceItem] = []
-        budget = count + 8
-        while True:
-            for p in _primes(budget):
-                n = p if family == 1 else p - 1
-                j = math.floor(ratio * n)
-                if j >= 1:
-                    items.append(SubsequenceItem(n, j))
-                if len(items) == count:
-                    return items
-            items.clear()
-            budget *= 2
+        ns = (p if family == 1 else p - 1 for p in _primes())
+        pairs = ((n, math.floor(ratio * n)) for n in ns)
+        return list(islice((SubsequenceItem(n, j) for n, j in pairs if j >= 1), count))
     if family == 2:
         if not isinstance(angle, RationalAngle):
             raise ValueError("family 2 requires a rational angle")

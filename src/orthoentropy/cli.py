@@ -9,14 +9,17 @@ The command name is dispatched once, in ``build_config``: it checks the
 arguments and returns the command's runner with exactly that command's
 validated inputs bound, and ``main`` calls it.  Every row format lives
 here: the row records, whose field names are the CSV header and the JSON
-keys, ``csv_line`` and ``format_float``.
+keys, and ``_emit_rows``, which writes them.
 
 Exit codes: 0 ok, 1 verification failure, 2 configuration error, 3
 numerical failure.  The code follows from the exception type alone: a
 ValueError (ConfigError is one) raised while ``build_config`` turns the
-arguments into objects exits 2, and a NumericError raised while a command
-runs exits 3, each with one line on stderr.  Nothing else is caught, so
-any other exception is a bug and ends in a traceback.
+arguments into objects exits 2, and so does a ConfigError raised while a
+command runs (an ``--out`` path that cannot be written); a NumericError
+raised while a command runs exits 3.  Each prints one line on stderr.
+Nothing else is caught, so any other exception is a bug and ends in a
+traceback.  A command writes its ``--out`` file only after all its rows
+are computed.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-schedule", default=None, help="comma-separated increasing sizes")
     p.add_argument("--subsequence", type=int, choices=(1, 2, 3, 4), default=None,
                    help="emit gap rows along a zero-tracking family instead")
-    p.add_argument("--count", type=int, default=20, help="items in subsequence mode")
+    p.add_argument("--count", type=int, default=None, help="items in subsequence mode (default 20)")
     _add_angle_args(p)
     _add_output_args(p)
 
@@ -252,14 +255,19 @@ def build_config(args: argparse.Namespace) -> Callable[[], int | None]:
     if command == "zeros":
         kind = _KIND_BY_FLAG[args.kind]
         if args.subsequence is not None:
+            if args.n is not None or args.n_schedule is not None:
+                raise ConfigError("--n and --n-schedule do not apply with --subsequence")
             angle = _resolve_angle(args)
             if angle is None:
                 raise ConfigError("subsequence mode requires --angle or --theta")
-            if not 1 <= args.count <= _SIZE_MAX:
+            count = 20 if args.count is None else args.count
+            if not 1 <= count <= _SIZE_MAX:
                 raise ConfigError(f"--count must be between 1 and {_SIZE_MAX}")
             # raises ValueError when the family does not fit the angle
-            items = zero_subsequence(args.subsequence, angle, args.count)
+            items = zero_subsequence(args.subsequence, angle, count)
             return partial(run_zero_subsequence, kind, angle, items, emit)
+        if (args.angle, args.theta, args.count) != (None, None, None):
+            raise ConfigError("--angle, --theta and --count need --subsequence")
         ns = _resolve_ns(args)
         if not ns:
             raise ConfigError("zeros requires --n, --n-schedule, or --subsequence")
@@ -299,20 +307,11 @@ def build_config(args: argparse.Namespace) -> Callable[[], int | None]:
     return partial(run_entropy, weight, angle, xs, ns, emit)
 
 
-def format_float(value: float) -> str:
-    """Fixed 17-significant-digit formatting; round-trips any double."""
-    return f"{value:.17g}"
-
-
 def _csv_cell(value) -> str:
+    """A float with 17 significant digits (round-trips any double), None empty, else str."""
     if isinstance(value, float):
-        return format_float(value)
+        return f"{value:.17g}"
     return "" if value is None else str(value)
-
-
-def csv_line(cells) -> str:
-    """Comma-joined cells: float by format_float, None empty, others (str, int) by str."""
-    return ",".join(map(_csv_cell, cells))
 
 
 @dataclass(frozen=True)
@@ -365,12 +364,15 @@ class ZeroRow:
 
 
 def _write(out: str | None, text: str) -> None:
-    """Write text to the file ``out``, or to stdout when it is None."""
+    """Write text to stdout, or to the file ``out`` (ConfigError if it cannot be written)."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _emit_rows(fmt: str, out: str | None, rows: list) -> None:
@@ -381,7 +383,7 @@ def _emit_rows(fmt: str, out: str | None, rows: list) -> None:
         records = [dict(zip(names, cells(row))) for row in rows]
         _write(out, json.dumps(records, indent=2) + "\n")
     else:
-        lines = [",".join(names)] + [csv_line(cells(row)) for row in rows]
+        lines = [",".join(names)] + [",".join(map(_csv_cell, cells(row))) for row in rows]
         _write(out, "\n".join(lines) + "\n")
 
 
@@ -466,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return job() or 0
+    except ConfigError as exc:  # an --out path that cannot be written
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

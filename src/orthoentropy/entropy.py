@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import NumericError
-from .orthopoly import RecurrenceCoefficients, _forward, _require_kind, eval_orthonormal
+from .orthopoly import (RecurrenceCoefficients, _forward, _require_kind, _zero_angle,
+                        eval_orthonormal)
 from .specfun import entropy_correction
 
 __all__ = [
@@ -241,10 +242,4 @@ def chebyshev_distribution_entropy(kind: str, n: int, theta: float) -> float:
 
 def zero_entropy_direct(kind: str, n: int, j: int) -> float:
     """Entropy at the j-th zero by direct summation (oracle for the closed forms)."""
-    _require_kind(kind)
-    _require_zero_index(n, j)
-    if kind == "first":
-        theta = (2 * j - 1) * math.pi / (2 * n)
-    else:
-        theta = j * math.pi / (n + 1)
-    return chebyshev_distribution_entropy(kind, n, theta)
+    return chebyshev_distribution_entropy(kind, n, _zero_angle(kind, n, j))

@@ -410,11 +410,16 @@ def eval_orthonormal(rec: RecurrenceCoefficients, x: float, n: int) -> np.ndarra
     return np.frombuffer(vals)
 
 
-def chebyshev_zero(kind: str, n: int, j: int) -> float:
-    """j-th zero (1-based, decreasing in j) of the degree-n Chebyshev polynomial."""
+def _zero_angle(kind: str, n: int, j: int) -> float:
+    """Angle theta_j of the j-th zero cos(theta_j) of the degree-n Chebyshev polynomial."""
     _require_kind(kind)
     if not 1 <= j <= n:
         raise IndexError(f"zero index j={j} outside 1..{n}")
     if kind == "first":
-        return math.cos((2 * j - 1) * math.pi / (2 * n))
-    return math.cos(j * math.pi / (n + 1))
+        return (2 * j - 1) * math.pi / (2 * n)
+    return j * math.pi / (n + 1)
+
+
+def chebyshev_zero(kind: str, n: int, j: int) -> float:
+    """j-th zero (1-based, decreasing in j) of the degree-n Chebyshev polynomial."""
+    return math.cos(_zero_angle(kind, n, j))

@@ -249,6 +249,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    # an --out that cannot be written is a configuration error, not exit 1
+    @pytest.mark.parametrize("argv, target", [
+        pytest.param(["entropy", "--x", "0.1", "--n", "3"], "missing/dir/f.csv", id="entropy"),
+        pytest.param(["verify", "--n", "64"], "missing/x", id="verify"),
+        pytest.param(["limit", "--angle", "1/3"], ".", id="limit_to_directory"),
+    ])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv, target):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: cannot write ") and err.count("\n") == 1
+
+    def test_numeric_failure_writes_no_file(self, capsys, tmp_path):
+        out = tmp_path / "rows.csv"
+        code, _, _ = run_cli(capsys, "entropy", "--x", "0.3", "--n", "5",
+                             "--logh-coeffs", "0,800", "--out", str(out))
+        assert code == 3
+        assert not out.exists()
+
     def test_other_errors_propagate(self, monkeypatch):
         # a ValueError while a command runs is a bug, not an exit code
         def broken(*args):
@@ -370,6 +389,19 @@ class TestZerosCommand:
                              "--angle", "1/3", "--count", "5")
         assert code == 0
         assert spy.call_count == 1
+
+    # each mode rejects the flags of the other
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--kind", "T", "--n", "2", "--angle", "1/3"], id="angle_without_family"),
+        pytest.param(["--kind", "U", "--subsequence", "4", "--angle", "1/3", "--count", "2",
+                      "--n", "500"], id="n_with_family"),
+        pytest.param(["--kind", "T", "--n", "2", "--count", "7"], id="count_without_family"),
+    ])
+    def test_other_mode_flags_are_config_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "zeros", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_subsequence_needs_angle(self, capsys):
         code, _, _ = run_cli(capsys, "zeros", "--kind", "U", "--subsequence", "4")

@@ -9,8 +9,10 @@ from every finite double, for ``limit`` and one-point ``entropy``.  Every
 example must
 exit 0, 2 or 3, print only finite rows, and print at most one line on
 stderr, which starts ``config error:`` for exit 2 and ``numeric error:``
-for exit 3; pytest turns every warning into an error.  The examples are
-drawn deterministically, so every run of the suite checks the same inputs.
+for exit 3; pytest turns every warning into an error.  A last test checks
+values: the paper's reflection symmetry of ``entropy`` and ``limit``.  The
+examples are drawn deterministically, so every run of the suite checks the
+same inputs.
 """
 
 import contextlib
@@ -129,3 +131,42 @@ def test_whole_finite_range(alpha, beta, coeffs, x, n, angle):
     check_run(["limit", f"--angle={angle}", *weight],
               header="theta,angle_type,s,k,phase_average,d_infinity,cheb_t_closed_form")
     check_run(["entropy", f"--x={x!r}", "--n", str(n), *weight])
+
+
+def one_row(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    header, row = out.getvalue().splitlines()
+    cells = zip(header.split(","), row.split(","))
+    return {name: float(cell) for name, cell in cells if cell and name != "angle_type"}
+
+
+# p_k(-x; beta, alpha, c~) = (-1)^k p_k(x; alpha, beta, c) with c~_m = (-1)^m c_m, so
+# the entropy at (alpha, beta, c, x) is the entropy at (beta, alpha, c~, -x), and
+# the limit at s/k for (alpha, beta, c) is the limit at (k-s)/k for (beta, alpha, c~).
+# Exponents stay below 3: heavy exponents break the symmetry through the Gauss
+# rule's dropped nodes (a known defect of the Stieltjes route).
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(alpha=st.floats(-1.0, 3.0, exclude_min=True), beta=st.floats(-1.0, 3.0, exclude_min=True),
+       coeffs_n=st.one_of(
+           st.tuples(st.just([]), st.integers(1, 3000)),
+           st.tuples(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5), st.integers(1, 300)),
+       ),
+       x=st.floats(-0.99, 0.99),
+       sk=st.integers(2, 400).flatmap(lambda k: st.tuples(st.integers(1, k - 1), st.just(k))))
+def test_reflection(alpha, beta, coeffs_n, x, sk):
+    coeffs, n = coeffs_n
+    mirrored = [(-1) ** m * c for m, c in enumerate(coeffs)]
+    s, k = sk
+
+    def weight(a, b, c):
+        return [*weight_args(a, b), f"--logh-coeffs={','.join(map(repr, c))}"]
+
+    here = one_row(["entropy", f"--x={x!r}", "--n", str(n), *weight(alpha, beta, coeffs)])
+    there = one_row(["entropy", f"--x={-x!r}", "--n", str(n), *weight(beta, alpha, mirrored)])
+    assert abs(here["shannon"] - there["shannon"]) < 1e-12, (here, there)
+    here = one_row(["limit", f"--angle={s}/{k}", *weight(alpha, beta, coeffs)])
+    there = one_row(["limit", f"--angle={k - s}/{k}", *weight(beta, alpha, mirrored)])
+    for name in ("phase_average", "d_infinity"):
+        assert abs(here[name] - there[name]) < 1e-12, (name, here, there)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orthoentropy.cli import EntropyReport, _emit_rows, csv_line, format_float
+from orthoentropy.cli import EntropyReport, _csv_cell, _emit_rows
 from orthoentropy.entropy import (
     DiscreteDistribution,
     chebyshev_distribution_entropy,
@@ -303,8 +303,8 @@ class TestClosedFormZeroEntropies:
             chebyshev_distribution_entropy("second", 5, math.pi)
 
 
-def report_csv_line(report):
-    return csv_line(getattr(report, f.name) for f in fields(report))
+def report_csv_row(report):
+    return ",".join(_csv_cell(getattr(report, f.name)) for f in fields(report))
 
 
 class TestEntropyReport:
@@ -318,7 +318,7 @@ class TestEntropyReport:
     def test_csv_row_shape(self):
         shannon = math.log(3.0) - 2.0 / 3.0 * LOG2
         report = EntropyReport(3, 0.0, shannon, 2.0 / 3.0 * LOG2)
-        row = report_csv_line(report)
+        row = report_csv_row(report)
         cells = row.split(",")
         assert len(cells) == len(fields(EntropyReport))
         assert cells[0] == "3"
@@ -328,7 +328,7 @@ class TestEntropyReport:
 
     def test_csv_row_with_limit(self):
         report = EntropyReport(10, 0.5, 1.0, math.log(10.0) - 1.0, LOG2, 0.01)
-        cells = report_csv_line(report).split(",")
+        cells = report_csv_row(report).split(",")
         assert float(cells[4]) == LOG2
         assert float(cells[5]) == 0.01
 
@@ -340,9 +340,10 @@ class TestEntropyReport:
         assert data["d_infinity"] is None
         assert json.loads(json.dumps(data)) == data
 
-    def test_csv_line_cells(self):
-        assert csv_line([None, "rational", 7, 0.1, -0.0]) == ",rational,7,0.10000000000000001,-0"
+    def test_csv_cells(self):
+        cells = map(_csv_cell, [None, "rational", 7, 0.1, -0.0])
+        assert ",".join(cells) == ",rational,7,0.10000000000000001,-0"
 
-    def test_format_float_round_trips(self):
+    def test_float_cell_round_trips(self):
         for value in (math.pi, 1.0 / 3.0, 1e-300, -0.0, 123456.789):
-            assert float(format_float(value)) == value
+            assert float(_csv_cell(value)) == value
