@@ -22,7 +22,6 @@ from .asymptotics import (
     phase_average_empirical,
     phase_shift,
     pv_log_h_oracle,
-    zero_entropy_gaps,
     zero_subsequence,
 )
 from .entropy import (

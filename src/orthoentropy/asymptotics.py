@@ -1,15 +1,17 @@
 """Large-n limits of the distribution entropy and their verification tools.
 
-The limiting divergence at x = cos(theta) depends on whether theta/pi is
-rational: it is 1 - log(2) off the rational grid and log(2) plus twice a
-k-point phase average on it.  This module provides the phase function with
-its exact Chebyshev treatment of the principal-value integral, a brute
-force excision oracle for that integral, the k-point phase average, the
-closed-form limit for the first-kind Chebyshev weight, the bulk cosine
-approximation of the polynomials, kernel-limit diagnostics, the zero
-subsequence families, and an identity suite tying the averages to the
-entropy-correction function.  Angles are always declared by the
-caller: a float never certifies that theta/pi is rational.
+The limiting divergence at x = cos(theta) is log(2) plus twice a phase
+average, which depends on whether theta/pi is rational: a k-point average
+on the rational grid, and 1/2 - log(2) off it, so that the limit there is
+1 - log(2).  This module provides the phase function with its exact
+Chebyshev treatment of the principal-value integral, a brute force
+excision oracle for that integral, the phase average, the closed-form
+limit for the first-kind Chebyshev weight, the bulk cosine approximation
+of the polynomials, kernel-limit diagnostics, the zero subsequence
+families, and an identity suite tying the averages to the
+entropy-correction function.  Angles are always declared by the caller:
+a float never certifies that theta/pi is rational.  The entropies at
+finite n live in ``entropy``; this module does not use them.
 """
 
 from __future__ import annotations
@@ -19,24 +21,14 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import xlogy
 
-from .entropy import (
-    chebyshev_distribution_entropy,
-    zero_entropy_first_kind,
-    zero_entropy_second_kind,
-)
 from .errors import NumericError
-from .orthopoly import (
-    RecurrenceCoefficients,
-    WeightSpec,
-    _require_kind,
-    eval_orthonormal,
-)
+from .orthopoly import RecurrenceCoefficients, WeightSpec, eval_orthonormal
 from .specfun import entropy_correction
 
 __all__ = [
@@ -53,7 +45,6 @@ __all__ = [
     "phase_average_empirical",
     "phase_shift",
     "pv_log_h_oracle",
-    "zero_entropy_gaps",
     "zero_subsequence",
 ]
 
@@ -71,7 +62,8 @@ def _integrand_even(y: np.ndarray) -> np.ndarray:
 class RationalAngle:
     """Angle theta = pi * s / k with 0 < s < k, reduced at construction.
 
-    The reduced k must fit a float, so that theta is one.
+    The reduced k must fit a float, and theta must round into (0, pi), so
+    that theta is a float that ``phase_shift`` accepts.
     """
 
     s: int
@@ -85,6 +77,8 @@ class RationalAngle:
         s, k = s // g, k // g
         if k > sys.float_info.max:
             raise ValueError(f"theta = pi s/k needs k to fit a float, got a {k.bit_length()}-bit k")
+        if not 0.0 < math.pi * s / k < math.pi:
+            raise ValueError(f"theta = pi s/k rounds to {math.pi * s / k!r}, outside (0, pi)")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "k", k)
 
@@ -181,12 +175,19 @@ def pv_log_h_oracle(weight: WeightSpec, x: float) -> float:
     return diag[-1]
 
 
-def phase_average(weight: WeightSpec, angle: RationalAngle) -> float:
-    """k-point average of the entropy integrand along the phase progression.
+def phase_average(weight: WeightSpec, angle: Angle) -> float:
+    """Average of the entropy integrand y^2 log(y^2) along the phase progression.
 
-    Always nonpositive, since the integrand is nonpositive on [-1, 1].
+    For a rational angle s/k the progression has period k, so this is the
+    k-point average.  For an irrational angle it is equidistributed, so
+    this is the integrand's mean 1/2 - log(2), whatever the weight.  Always
+    nonpositive, since the integrand is nonpositive on [-1, 1].
     """
-    return phase_average_empirical(weight, angle.theta, angle.k)
+    if isinstance(angle, RationalAngle):
+        return phase_average_empirical(weight, angle.theta, angle.k)
+    if isinstance(angle, IrrationalAngle):
+        return 0.5 - _LOG2
+    raise TypeError(f"expected RationalAngle or IrrationalAngle, got {type(angle)!r}")
 
 
 def phase_average_empirical(weight: WeightSpec, theta: float, n: int) -> float:
@@ -200,16 +201,12 @@ def phase_average_empirical(weight: WeightSpec, theta: float, n: int) -> float:
 
 
 def limit_divergence(weight: WeightSpec, angle: Angle) -> float:
-    """Limiting Kullback-Leibler divergence at x = cos(theta).
+    """Limiting Kullback-Leibler divergence at x = cos(theta):
+    log(2) + 2 * phase_average.
 
-    1 - log(2) for an irrational angle; log(2) + 2 * phase_average for a
-    rational one.
+    For an irrational angle this is exactly the double 1 - log(2).
     """
-    if isinstance(angle, RationalAngle):
-        return _LOG2 + 2.0 * phase_average(weight, angle)
-    if isinstance(angle, IrrationalAngle):
-        return 1.0 - _LOG2
-    raise TypeError(f"expected RationalAngle or IrrationalAngle, got {type(angle)!r}")
+    return _LOG2 + 2.0 * phase_average(weight, angle)
 
 
 def chebyshev_divergence_limit(k: int) -> float:
@@ -319,26 +316,6 @@ def zero_subsequence(family: int, angle: Angle, count: int) -> list[SubsequenceI
             raise ValueError("family 4 requires a rational angle")
         return [SubsequenceItem(m * angle.k - 1, angle.s * m) for m in range(1, count + 1)]
     raise ValueError(f"family must be 1, 2, 3 or 4, got {family}")
-
-
-def zero_entropy_gaps(
-    kind: str, angle: Angle, items: Sequence[SubsequenceItem]
-) -> list[float]:
-    """Closed-form zero entropy minus the entropy at x = cos(theta), per item.
-
-    The entropy at x uses the explicit Chebyshev trigonometric forms, so
-    the gaps isolate the closed forms from recurrence round-off.  Along the
-    compatible families the gaps vanish; for the first kind with odd
-    denominator k they stay below the strictly negative bound
-    2*correction(1/(2k)) - correction(1/k).
-    """
-    _require_kind(kind)
-    closed = zero_entropy_first_kind if kind == "first" else zero_entropy_second_kind
-    theta = angle.theta
-    return [
-        closed(item.n, item.j) - chebyshev_distribution_entropy(kind, item.n, theta)
-        for item in items
-    ]
 
 
 def identity_suite() -> list[tuple[str, float]]:

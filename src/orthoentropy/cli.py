@@ -9,17 +9,18 @@ The command name is dispatched once, in ``build_config``: it checks the
 arguments and returns the command's runner with exactly that command's
 validated inputs bound, and ``main`` calls it.  Every row format lives
 here: the row records, whose field names are the CSV header and the JSON
-keys, and ``_emit_rows``, which writes them.
+keys, and ``_emit_rows``, which writes them.  Each cell of a row is
+computed once, by the module that owns the value.
 
 Exit codes: 0 ok, 1 verification failure, 2 configuration error, 3
 numerical failure.  The code follows from the exception type alone: a
 ValueError (ConfigError is one) raised while ``build_config`` turns the
 arguments into objects exits 2, and so does a ConfigError raised while a
-command runs (an ``--out`` path that cannot be written); a NumericError
-raised while a command runs exits 3.  Each prints one line on stderr.
-Nothing else is caught, so any other exception is a bug and ends in a
-traceback.  A command writes its ``--out`` file only after all its rows
-are computed.
+command runs (an ``--out`` path, or a stdout whose reader has gone); a
+NumericError raised while a command runs exits 3.  Each prints one line
+on stderr.  Nothing else is caught, so any other exception is a bug and
+ends in a traceback.  A command writes its ``--out`` file only after all
+its rows are computed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -42,11 +44,11 @@ from .asymptotics import (
     chebyshev_divergence_limit,
     limit_divergence,
     phase_average,
-    zero_entropy_gaps,
     zero_subsequence,
 )
 from .checks import CHECKS, verify_scope
 from .entropy import (
+    chebyshev_distribution_entropy,
     christoffel_entropy_grid,
     zero_entropy_direct,
     zero_entropy_first_kind,
@@ -365,14 +367,17 @@ class ZeroRow:
 
 def _write(out: str | None, text: str) -> None:
     """Write text to stdout, or to the file ``out`` (ConfigError if it cannot be written)."""
-    if out is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc.strerror}") from exc
+        if out is None:  # the interpreter flushes stdout again at exit: send that nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {'stdout' if out is None else out}: {exc.strerror}") from exc
 
 
 def _emit_rows(fmt: str, out: str | None, rows: list) -> None:
@@ -402,27 +407,27 @@ def run_entropy(weight: WeightSpec, angle: Angle | None, xs: tuple[float, ...],
 
 
 def run_limit(weight: WeightSpec, angle: Angle, emit: Callable[[list], None]) -> None:
+    average = phase_average(weight, angle)
     if isinstance(angle, RationalAngle):
-        average = phase_average(weight, angle)
         is_cheb_t = weight.alpha == -0.5 and weight.beta == -0.5 and weight.trivial_h
         closed = chebyshev_divergence_limit(angle.k) if is_cheb_t else None
-        # limit_divergence's rational form, without a second phase average
-        row = LimitRow(angle.theta, "rational", angle.s, angle.k,
-                       average, _LOG2 + 2.0 * average, closed)
+        angle_type, s, k = "rational", angle.s, angle.k
     else:
-        row = LimitRow(angle.theta, "irrational", None, None, 0.5 - _LOG2,
-                       limit_divergence(weight, angle), None)
-    emit([row])
+        angle_type, s, k, closed = "irrational", None, None, None
+    # limit_divergence's formula, without a second phase average
+    emit([LimitRow(angle.theta, angle_type, s, k, average, _LOG2 + 2.0 * average, closed)])
 
 
-def _zero_row(kind: str, n: int, j: int, closed: float, direct: float) -> ZeroRow:
+def _zero_row(kind: str, n: int, j: int, direct: float) -> ZeroRow:
+    """The closed-form entropy at the j-th zero of degree n against ``direct``."""
+    closed_fn = zero_entropy_first_kind if kind == "first" else zero_entropy_second_kind
+    closed = closed_fn(n, j)
     return ZeroRow(n, j, chebyshev_zero(kind, n, j), closed, direct, closed - direct)
 
 
 def run_zeros(kind: str, ns: tuple[int, ...], emit: Callable[[list], None]) -> None:
-    closed_fn = zero_entropy_first_kind if kind == "first" else zero_entropy_second_kind
     emit([
-        _zero_row(kind, n, j, closed_fn(n, j), zero_entropy_direct(kind, n, j))
+        _zero_row(kind, n, j, zero_entropy_direct(kind, n, j))
         for n in ns
         for j in range(1, n + 1)
     ])
@@ -430,13 +435,11 @@ def run_zeros(kind: str, ns: tuple[int, ...], emit: Callable[[list], None]) -> N
 
 def run_zero_subsequence(kind: str, angle: Angle, items: list,
                          emit: Callable[[list], None]) -> None:
-    closed_fn = zero_entropy_first_kind if kind == "first" else zero_entropy_second_kind
-    rows = []
-    for item, gap in zip(items, zero_entropy_gaps(kind, angle, items)):
-        closed = closed_fn(item.n, item.j)
-        # direct is the entropy at the angle; closed - direct is not bit-equal to gap
-        rows.append(_zero_row(kind, item.n, item.j, closed, closed - gap))
-    emit(rows)
+    # direct is the entropy at the declared angle, so diff is the family's gap
+    emit([
+        _zero_row(kind, item.n, item.j, chebyshev_distribution_entropy(kind, item.n, angle.theta))
+        for item in items
+    ])
 
 
 def run_verify(universality_n: int, fmt: str, out: str | None) -> int:
@@ -468,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return job() or 0
-    except ConfigError as exc:  # an --out path that cannot be written
+    except ConfigError as exc:  # an --out path or a stdout that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

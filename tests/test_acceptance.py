@@ -71,6 +71,15 @@ def test_06_irrational_case():
            f"end-to-end divergence error = {end_to_end:.2e} < 0.03")
 
 
+def zero_entropy_gaps(kind, angle, items):
+    """Closed-form zero entropy minus the entropy at x = cos(theta), per item."""
+    closed = oe.zero_entropy_first_kind if kind == "first" else oe.zero_entropy_second_kind
+    return [
+        closed(item.n, item.j) - oe.chebyshev_distribution_entropy(kind, item.n, angle.theta)
+        for item in items
+    ]
+
+
 def test_07_zero_subsequence_gaps():
     # compatible families: gaps shrink toward 0
     final_gaps = []
@@ -82,7 +91,7 @@ def test_07_zero_subsequence_gaps():
     ):
         count = 1300 // angle.k + 60  # reaches n around 1300 for either family
         items = oe.zero_subsequence(family, angle, count)
-        gaps = oe.zero_entropy_gaps(kind, angle, items)
+        gaps = zero_entropy_gaps(kind, angle, items)
         tail = [abs(g) for it, g in zip(items, gaps) if it.n > 1000]
         assert tail, "subsequence never reached n > 1000"
         assert max(tail) < 0.01, (kind, family, angle)

@@ -17,9 +17,9 @@ from orthoentropy.asymptotics import (
     phase_average_empirical,
     phase_shift,
     pv_log_h_oracle,
-    zero_entropy_gaps,
     zero_subsequence,
 )
+from orthoentropy.cli import run_zero_subsequence
 from orthoentropy.entropy import chebyshev_distribution_entropy
 from orthoentropy.orthopoly import WeightSpec, eval_orthonormal, weight_recurrence
 from orthoentropy.specfun import entropy_correction
@@ -313,6 +313,13 @@ class TestZeroSubsequence:
     def test_item_validation(self):
         with pytest.raises(ValueError):
             SubsequenceItem(3, 4)
+
+
+def zero_entropy_gaps(kind, angle, items):
+    """The diff column of ``zeros --subsequence``: closed form minus the entropy at the angle."""
+    emitted = []
+    run_zero_subsequence(kind, angle, items, emitted.extend)
+    return [row.diff for row in emitted]
 
 
 class TestZeroEntropyGaps:

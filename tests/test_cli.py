@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from orthoentropy import asymptotics, cli
 from orthoentropy.cli import main
+from orthoentropy.entropy import chebyshev_distribution_entropy
 
 LOG2 = math.log(2.0)
 
@@ -218,6 +223,9 @@ class TestEntropyCommand:
 
 
 BIG_K = "1" + "0" * 400
+# theta = pi s/k rounds to pi, and overflows to inf
+ANGLE_PI = "1152921504606846975/1152921504606846976"
+ANGLE_INF = f"{10 ** 308}/{10 ** 308 + 1}"
 
 
 class TestExitCodes:
@@ -242,6 +250,12 @@ class TestExitCodes:
         pytest.param(["scan", "--x-grid=0:0.5:1e-300", "--n", "5"], id="grid_count_5e299"),
         pytest.param(["zeros", "--kind", "U", "--subsequence", "4", "--angle", "1/3",
                       "--count", str(10 ** 30)], id="count_10e30"),
+        # angles whose theta does not round into (0, pi)
+        pytest.param(["limit", "--angle", ANGLE_PI], id="limit_theta_rounds_to_pi"),
+        pytest.param(["zeros", "--kind", "T", "--subsequence", "4", "--angle", ANGLE_PI,
+                      "--count", "1"], id="family4_theta_rounds_to_pi"),
+        pytest.param(["limit", "--angle", ANGLE_INF], id="limit_theta_inf"),
+        pytest.param(["entropy", "--n", "5", "--angle", ANGLE_INF], id="entropy_theta_inf"),
     ])
     def test_config_error_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -260,6 +274,23 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("config error: cannot write ") and err.count("\n") == 1
+
+    # a stdout whose reader has gone is a configuration error too, with no traceback
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["zeros", "--kind", "T", "--n", "3000"], id="zeros"),
+        pytest.param(["limit", "--angle", "1/3"], id="limit"),
+    ])
+    def test_closed_stdout_exits_2(self, argv):
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "orthoentropy", *argv],
+                                env={**os.environ, "PYTHONPATH": path},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2, err
+        assert err.startswith("config error: cannot write stdout") and err.count("\n") == 1
 
     def test_numeric_failure_writes_no_file(self, capsys, tmp_path):
         out = tmp_path / "rows.csv"
@@ -381,6 +412,23 @@ class TestZerosCommand:
         gaps = [float(r[5]) for r in rows[5:]]
         assert all(g < bound + 0.05 for g in gaps)
         assert bound < 0.0
+
+    # direct is the entropy at the declared angle and diff is closed - direct, also
+    # at row (2, 1), where closed and direct lie more than a factor 2 apart
+    @pytest.mark.parametrize("family, theta, count", [
+        ("3", "1.590120284", "58"),
+        ("1", "1.5846981361103274", "33"),
+        ("3", "1.6543245090653869", "50"),
+    ])
+    def test_subsequence_direct_is_entropy_at_angle(self, capsys, family, theta, count):
+        code, out, _ = run_cli(capsys, "zeros", "--kind", "U", "--subsequence", family,
+                               "--theta", theta, "--count", count)
+        assert code == 0
+        _, rows = parse_csv(out)
+        for n, _, _, closed, direct, diff in rows:
+            entropy = chebyshev_distribution_entropy("second", int(n), float(theta))
+            assert direct == cli._csv_cell(entropy), n
+            assert float(diff) == float(closed) - float(direct), n
 
     def test_subsequence_built_once(self, capsys, monkeypatch):
         spy = mock.Mock(wraps=cli.zero_subsequence)

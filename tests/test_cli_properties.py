@@ -9,10 +9,12 @@ from every finite double, for ``limit`` and one-point ``entropy``.  Every
 example must
 exit 0, 2 or 3, print only finite rows, and print at most one line on
 stderr, which starts ``config error:`` for exit 2 and ``numeric error:``
-for exit 3; pytest turns every warning into an error.  A last test checks
-values: the paper's reflection symmetry of ``entropy`` and ``limit``.  The
-examples are drawn deterministically, so every run of the suite checks the
-same inputs.
+for exit 3; pytest turns every warning into an error.  The last tests check
+values at moderate exponents: the paper's reflection symmetry of
+``entropy`` and ``limit``, the plateau 1 - log(2) of the limit at every
+irrational angle, and rows that do not move under a log h too small to
+change h in doubles.  The examples are drawn deterministically, so every
+run of the suite checks the same inputs.
 """
 
 import contextlib
@@ -46,6 +48,7 @@ rational_angles = st.integers(2, 10_000).flatmap(
 )
 
 ENTROPY_HEADER = "n,x,shannon,divergence,d_infinity,gap"
+LOG2 = math.log(2.0)
 PREFIXES = {2: "config error: ", 3: "numeric error: "}
 
 
@@ -133,13 +136,21 @@ def test_whole_finite_range(alpha, beta, coeffs, x, n, angle):
     check_run(["entropy", f"--x={x!r}", "--n", str(n), *weight])
 
 
-def one_row(argv):
+def rows(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0, argv
-    header, row = out.getvalue().splitlines()
-    cells = zip(header.split(","), row.split(","))
-    return {name: float(cell) for name, cell in cells if cell and name != "angle_type"}
+    header, *lines = out.getvalue().splitlines()
+    return [
+        {name: float(cell) for name, cell in zip(header.split(","), line.split(","))
+         if cell and name != "angle_type"}
+        for line in lines
+    ]
+
+
+def one_row(argv):
+    [row] = rows(argv)
+    return row
 
 
 # p_k(-x; beta, alpha, c~) = (-1)^k p_k(x; alpha, beta, c) with c~_m = (-1)^m c_m, so
@@ -170,3 +181,41 @@ def test_reflection(alpha, beta, coeffs_n, x, sk):
     there = one_row(["limit", f"--angle={k - s}/{k}", *weight(beta, alpha, mirrored)])
     for name in ("phase_average", "d_infinity"):
         assert abs(here[name] - there[name]) < 1e-12, (name, here, there)
+
+
+moderate_exponents = st.floats(-1.0, 3.0, exclude_min=True)
+
+
+# off the rational grid the phase average is the integrand's mean 1/2 - log 2 for
+# every weight, so the limit is 1 - log 2; the cells must be those doubles
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(alpha=moderate_exponents, beta=moderate_exponents,
+       coeffs=st.lists(st.floats(-3.0, 3.0), max_size=5),
+       theta=st.floats(1e-6, 3.14159))
+def test_irrational_plateau(alpha, beta, coeffs, theta):
+    weight = [*weight_args(alpha, beta), f"--logh-coeffs={','.join(map(repr, coeffs))}"]
+    row = one_row(["limit", f"--theta={theta!r}", *weight])
+    assert row["phase_average"] == 0.5 - LOG2, row
+    assert row["d_infinity"] == 1.0 - LOG2, row
+    for row in rows(["entropy", f"--theta={theta!r}", "--n", "5", *weight]):
+        assert row["d_infinity"] == 1.0 - LOG2, row
+
+
+# exp(c T_m) with |c| <= 1e-200 is 1 in doubles, so the Stieltjes rows must be the
+# closed-form Jacobi rows of h = 1.  Exponents stay below 3: heavy exponents lose
+# Gauss nodes, and with them Stieltjes accuracy (a known defect).
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(alpha=st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True),
+       beta=st.floats(-1.0, 3.0, exclude_min=True, exclude_max=True),
+       tiny=st.sampled_from([1e-300, -1e-300, 5e-324, -5e-324, 1e-200, -1e-200]),
+       index=st.integers(1, 5),
+       x=st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True),
+       ns=st.sets(st.integers(1, 600), min_size=3, max_size=3))
+def test_h_invariance(alpha, beta, tiny, index, x, ns):
+    argv = ["entropy", f"--x={x!r}", "--n-schedule", ",".join(map(str, sorted(ns))),
+            *weight_args(alpha, beta)]
+    coeffs = [0.0] * index + [tiny]
+    with_h = rows([*argv, f"--logh-coeffs={','.join(map(repr, coeffs))}"])
+    for here, there in zip(with_h, rows(argv), strict=True):
+        for name in ("shannon", "divergence"):
+            assert abs(here[name] - there[name]) < 1e-12, (name, here, there)
