@@ -204,10 +204,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         a, b, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad --x-grid value {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ConfigError(f"--x-grid needs finite a, b and step, got {text!r}")
     if step <= 0.0 or b < a:
         raise ConfigError("--x-grid needs a <= b and step > 0")
     last = (b - a) / step + 1e-12
-    if not last < _SIZE_MAX:  # NaN too
+    if not last < _SIZE_MAX:
         raise ConfigError(f"--x-grid {text!r} has more points than numpy can index")
     return tuple(a + i * step for i in range(int(last) + 1))
 

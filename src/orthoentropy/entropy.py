@@ -6,8 +6,9 @@ function and does not depend on how the weight is normalized.  For both
 Chebyshev weights the entropy at a zero of p_n has an exact closed form
 in terms of the entropy-correction function and an integer gcd.
 
-Every entropy row comes from one streamed reduction; direct summation of
-a validated distribution stays as its independent oracle.  This module
+Every entropy row comes from one streamed reduction over blocks of one
+forward recurrence, at one point or over a grid; direct summation of a
+validated distribution stays as its independent oracle.  This module
 holds numerics only: how a row is printed is decided in ``cli``.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.special import xlogy
@@ -96,27 +98,22 @@ def _neumaier_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None
     total[...] = s
 
 
-def _grid_blocks(rec: RecurrenceCoefficients, x: np.ndarray, ns: Sequence[int]):
-    """Yield (p_k(x)^2 for up to _BLOCK steps k < end, end), rows of one buffer."""
-    block = np.empty((_BLOCK, x.size))
-    ends = set(ns)
-    filled = 0
-    for k, p in enumerate(_forward(rec, x, ns[-1])):
-        np.multiply(p, p, out=block[filled])
-        filled += 1
-        if filled == _BLOCK or k + 1 in ends:
-            yield block[:filled], k + 1
-            filled = 0
+def _blocks(rec: RecurrenceCoefficients, x: np.ndarray, ns: Sequence[int]):
+    """Yield (p_k(x)^2 for steps k < end, end), L rows by x.size columns.
 
-
-def _point_blocks(rec: RecurrenceCoefficients, x: np.ndarray, ns: Sequence[int]):
-    """Yield (p_k(x)^2 for n_{i-1} <= k < n_i, n_i) at the single point x[0]."""
-    vals = eval_orthonormal(rec, x[0], ns[-1])
-    sq = (vals * vals)[:, None]
+    Over a grid a block is at most ``_BLOCK`` steps; at one point it is a
+    whole segment [n_{i-1}, n_i) of the schedule.  No block crosses an n_i.
+    """
+    grid = x.size > 1
+    values = _forward(rec, x if grid else float(x[0]), ns[-1])
+    dtype, most = ((float, x.size), _BLOCK) if grid else (float, ns[-1])
     start = 0
     for end in ns:
-        yield sq[start:end], end
-        start = end
+        while start < end:
+            length = min(most, end - start)
+            vals = np.fromiter(islice(values, length), dtype, length)
+            start += length
+            yield (vals * vals).reshape(length, x.size), start
 
 
 def christoffel_entropy_grid(
@@ -137,11 +134,11 @@ def christoffel_entropy_grid(
     there and S -= K (e_new - e) log 2.  Without it log K and S/K would
     cancel where p^2 is large, near an endpoint of a heavy weight.
 
-    The number of points chooses the source of the blocks, with the same
-    values p_k(x) bit for bit.  A grid runs one :func:`_forward` recurrence
-    over all points, ``_BLOCK`` steps a block, in O(len(xs) * _BLOCK)
-    memory.  One point takes the scalar :func:`eval_orthonormal` pass, the
-    faster one there, a block per segment [n_{i-1}, n_i) of the schedule.
+    The blocks come from one :func:`_forward` pass, with the values
+    p_k(x) of :func:`eval_orthonormal` bit for bit.  A grid runs it over
+    all points, ``_BLOCK`` steps a block, in O(len(xs) * _BLOCK) memory.
+    One point runs it on a Python float, the faster pass there, a block
+    per segment [n_{i-1}, n_i) of the schedule, in O(largest segment).
     Raises NumericError when K or S is not finite, or K is not positive, at
     some point and n: some p_k(x)^2 (or p_k(x)^2 log p_k(x)^2) overflowed,
     since K >= p_0^2 = 1 / b[0] > 0 otherwise.
@@ -158,9 +155,8 @@ def christoffel_entropy_grid(
     # C ints, as np.frexp gives: np.ldexp is 15 times slower on int64
     exponent = np.zeros(x.size, dtype=np.intc)
     row = 0
-    blocks = _grid_blocks if x.size > 1 else _point_blocks
     with np.errstate(over="ignore", invalid="ignore"):
-        for sq, end in blocks(rec, x, ns):
+        for sq, end in _blocks(rec, x, ns):
             block_sum = sq.sum(axis=0)
             kernel = k_sum + k_comp
             mean_exponent = np.frexp((kernel + block_sum) / end)[1]

@@ -2,7 +2,8 @@
 
 Weight specifications, monic three-term recurrences (closed form for pure
 Jacobi, Stieltjes procedure for an analytic factor h), orthonormal
-evaluation, Gauss-Jacobi quadrature (Jacobi-matrix eigenvalues, one Newton
+evaluation by one forward recurrence at a point or over an array of
+points, Gauss-Jacobi quadrature (Jacobi-matrix eigenvalues, one Newton
 step, Christoffel-number weights, from passes over values only), and the
 exact Chebyshev zeros.  A recurrence or rule whose computed values fail
 their checks raises NumericError.  Recurrences and rules are immutable
@@ -13,7 +14,6 @@ shareable across threads.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -331,21 +331,22 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def _forward(rec: RecurrenceCoefficients, x: np.ndarray, n: int):
-    """Yield the array p_k(x) over every point of the array x, k = 0, ..., n-1.
+def _forward(rec: RecurrenceCoefficients, x: float | np.ndarray, n: int):
+    """Yield p_k(x), k = 0, ..., n-1, at a float x or over every point of an array x.
 
-    The recurrence over many points, shared by the grid entropies and
-    :func:`gauss_jacobi`.  p_{k+1} is
-    ((x - a_k) p_k - sqrt(b_k) p_{k-1}) / sqrt(b_{k+1}), the operations of
-    :func:`eval_orthonormal` in its order, so each point gets the same bits
-    as a single-point pass: 5 array operations per step.  Each step yields
-    a new array, so memory is O(x.size) when the caller keeps none of them.
+    The package's one forward recurrence, behind :func:`eval_orthonormal`,
+    the entropy blocks and :func:`gauss_jacobi`: p_{k+1} is
+    ((x - a_k) p_k - sqrt(b_k) p_{k-1}) / sqrt(b_{k+1}).  A Python float
+    and each point of an array take the same IEEE operations in the same
+    order, so they get the same bits.  The coefficients are read through
+    memoryviews as Python floats, with no list or numpy scalar per step,
+    and each step yields a new value, so memory is O(x.size) when the
+    caller keeps none of them.
     """
-    sb = np.sqrt(rec.b[:n]).tolist()
-    p_prev = np.zeros_like(x)
-    p = np.full_like(x, 1.0 / sb[0])
+    sb = memoryview(np.sqrt(rec.b[:n]))
+    p_prev, p = 0.0, x * 0.0 + 1.0 / sb[0]
     yield p
-    for a_k, sb_k, sb_next in zip(rec.a[: n - 1].tolist(), sb, sb[1:]):
+    for a_k, sb_k, sb_next in zip(memoryview(rec.a), sb, sb[1:]):
         p_prev, p = p, ((x - a_k) * p - sb_k * p_prev) / sb_next
         yield p
 
@@ -384,30 +385,18 @@ def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
 
 
 def eval_orthonormal(rec: RecurrenceCoefficients, x: float, n: int) -> np.ndarray:
-    """Orthonormal values (p_0(x), ..., p_{n-1}(x)) by forward recurrence.
+    """Orthonormal values (p_0(x), ..., p_{n-1}(x)): :func:`_forward` at one point.
 
     The forward pass is numerically stable on the interval interior; the
     endpoints are accepted for quadrature-style uses but excluded from the
     entropy API.  ``result[:m]`` equals the result for size m bit for bit,
-    so one pass to the largest size serves a whole schedule.
+    and every value equals its point's column of a pass over an array.
     """
     if not 1 <= n <= rec.n_max:
         raise ValueError(f"n must be in [1, {rec.n_max}], got {n}")
     if not -1.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [-1, 1], got {x}")
-    # Python floats read through memoryviews: the same IEEE operations in
-    # the same order as numpy-scalar arithmetic, so the same bits, without
-    # a numpy scalar per step.
-    x = float(x)
-    sb = memoryview(np.sqrt(rec.b[:n]))
-    p_prev = 0.0
-    p = 1.0 / sb[0]
-    vals = array("d", [p])
-    append = vals.append
-    for a_k, sb_k, sb_next in zip(memoryview(rec.a), sb, sb[1:]):
-        p_prev, p = p, ((x - a_k) * p - sb_k * p_prev) / sb_next
-        append(p)
-    return np.frombuffer(vals)
+    return np.fromiter(_forward(rec, float(x), n), float, n)
 
 
 def _zero_angle(kind: str, n: int, j: int) -> float:

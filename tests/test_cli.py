@@ -226,6 +226,8 @@ BIG_K = "1" + "0" * 400
 # theta = pi s/k rounds to pi, and overflows to inf
 ANGLE_PI = "1152921504606846975/1152921504606846976"
 ANGLE_INF = f"{10 ** 308}/{10 ** 308 + 1}"
+NONFINITE_GRIDS = ("0:0.5:inf", "0:inf:0.1", "-inf:0.5:0.1", "nan:0.5:0.1", "0:nan:0.1",
+                   "0:0.5:nan")
 
 
 class TestExitCodes:
@@ -256,12 +258,20 @@ class TestExitCodes:
                       "--count", "1"], id="family4_theta_rounds_to_pi"),
         pytest.param(["limit", "--angle", ANGLE_INF], id="limit_theta_inf"),
         pytest.param(["entropy", "--n", "5", "--angle", ANGLE_INF], id="entropy_theta_inf"),
+        # a grid field that is not finite
+        *(pytest.param(["scan", f"--x-grid={grid}", "--n", "3"], id=f"grid_{grid}")
+          for grid in NONFINITE_GRIDS),
     ])
     def test_config_error_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", NONFINITE_GRIDS)
+    def test_nonfinite_grid_names_the_cause(self, capsys, grid):
+        _, _, err = run_cli(capsys, "scan", f"--x-grid={grid}", "--n", "3")
+        assert err == f"config error: --x-grid needs finite a, b and step, got {grid!r}\n"
 
     # an --out that cannot be written is a configuration error, not exit 1
     @pytest.mark.parametrize("argv, target", [

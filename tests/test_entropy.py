@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import mpmath
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from orthoentropy.cli import EntropyReport, _csv_cell, _emit_rows
 from orthoentropy.entropy import (
+    _BLOCK,
     DiscreteDistribution,
+    _blocks,
     chebyshev_distribution_entropy,
     christoffel_distribution,
     christoffel_entropy_grid,
@@ -189,6 +192,41 @@ class TestChristoffelEntropyGrid:
             point_entropies(rec, 0.99, [10, 5000])
         with pytest.raises(NumericError, match="overflows at x = 0.99 "):
             christoffel_distribution(rec, 0.99, 5000)
+
+    @pytest.mark.parametrize("xs", [[-0.9, 0.2, 0.95], [0.2]], ids=["grid", "point"])
+    def test_blocks_contract(self, xs):
+        # the squares of eval_orthonormal in order, cut at every schedule
+        # entry: at most _BLOCK rows over a grid, one block per segment at a point
+        ns = (1, 2, 63, 64, 65, 128, 129, 300)
+        rec = jacobi_recurrence(0.3, -0.4, ns[-1])
+        blocks = list(_blocks(rec, np.array(xs), ns))
+        expected = np.stack([eval_orthonormal(rec, x, ns[-1]) ** 2 for x in xs], axis=1)
+        assert np.array_equal(np.concatenate([sq for sq, _ in blocks]), expected)
+        ends = [end for _, end in blocks]
+        for start, (sq, end) in zip([0, *ends], blocks):
+            assert sq.shape == (end - start, len(xs))
+            assert end <= min(n for n in ns if n > start)
+        assert set(ns) <= set(ends)
+        if len(xs) > 1:
+            assert max(len(sq) for sq, _ in blocks) <= _BLOCK
+        else:
+            assert ends == list(ns)
+
+    # tracemalloc counts numpy buffers.  One point holds O(largest segment)
+    # and a grid O(points * _BLOCK): no list or array of all n values.
+    @pytest.mark.parametrize("xs, n_top, limit_mib", [
+        ([0.3], 102400, 4.0), ([-0.4, 0.3], 12800, 0.5),
+    ], ids=["point", "two_points"])
+    def test_peak_memory(self, xs, n_top, limit_mib):
+        ns = [n for n in (100 * 2 ** i for i in range(11)) if n <= n_top]
+        rec = jacobi_recurrence(0.5, -0.3, n_top)
+        tracemalloc.start()
+        try:
+            christoffel_entropy_grid(rec, xs, ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2 ** 20
 
     def test_preconditions(self):
         for xs in ([], [0.2, 1.0], [[0.1, 0.2]]):
