@@ -5,7 +5,10 @@ Jacobi, Stieltjes procedure for an analytic factor h), orthonormal
 evaluation by one forward recurrence at a point or over an array of
 points, Gauss-Jacobi quadrature (Jacobi-matrix eigenvalues, one Newton
 step, Christoffel-number weights, from passes over values only), and the
-exact Chebyshev zeros.  A recurrence or rule whose computed values fail
+exact Chebyshev zeros.  Over the nodes of a rule the recurrence carries
+a power-of-two exponent per point, so every node and its weight, as a
+mantissa times 2^e, survive a heavy exponent; the Stieltjes procedure
+uses every node.  A recurrence or rule whose computed values fail
 their checks raises NumericError.  Recurrences and rules are immutable
 once built and all evaluations are pure, so everything is freely
 shareable across threads.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.fft import dct
@@ -43,6 +47,8 @@ CHEBYSHEV_KINDS = ("first", "second")
 # 128, ... Chebyshev points, fewer than _H_SAMPLES_MAX.
 _H_CHOP = 16.0 * np.finfo(float).eps
 _H_SAMPLES_MAX = 2 ** 14
+# steps between the exact rescales of a scaled forward pass or Stieltjes build
+_RESCALE = 32
 
 
 def _require_kind(kind: str) -> str:
@@ -253,37 +259,50 @@ def stieltjes_recurrence(
 
     Inner products use a Gauss rule for the bare Jacobi part with h folded
     into the integrand, so the endpoint singularities never meet the rule.
-    The default rule has 2*n_max + d_h + 16 nodes, with d_h from
-    :meth:`WeightSpec.h_degree`; ``rule_size`` overrides it.
+    The default rule has n_max + 2 d_h + 16 nodes, with d_h from
+    :meth:`WeightSpec.h_degree`; ``rule_size`` overrides it.  Every node
+    of the rule takes part, also where its weight lies below the smallest
+    double: each weight is a mantissa times 2^e, and the vectors q_k(t_j)
+    are a mantissa times 2^F_j, rescaled by an exact power of two every
+    ``_RESCALE`` steps.  The weights with 2^(2 F) folded in are formed
+    again only then, so a step costs what it costs without scaling.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if rule_size is None:
-        rule_size = 2 * n_max + weight.h_degree() + 16
+        rule_size = n_max + 2 * weight.h_degree() + 16
     if rule_size < n_max:
         raise ValueError(
             f"rule_size {rule_size} cannot resolve degree {n_max - 1} orthogonality"
         )
-    rule = gauss_jacobi(weight.alpha, weight.beta, rule_size)
-    t = rule.nodes
+    t, mantissa, exponent = _gauss_rule(weight.alpha, weight.beta, rule_size)
     # an h that overflows makes the mass inf, which the check below reports
     with np.errstate(over="ignore"):
-        wh = rule.weights * np.asarray(weight.h(t))
+        h_mantissa, h_exponent = np.frexp(weight.h(t))
+        mantissa = mantissa * h_mantissa
+        exponent = exponent + h_exponent
+        mass = float(np.sum(np.ldexp(mantissa, exponent)))
 
     a = np.zeros(n_max)
     b = np.zeros(n_max)
-    mass = float(np.sum(wh))
     if not (math.isfinite(mass) and mass > 0.0):
         raise NumericError("quadrature produced a nonpositive or nonfinite total mass")
     b[0] = mass
     q_prev = np.zeros_like(t)
     q = np.full_like(t, 1.0 / math.sqrt(mass))
+    scale = np.zeros_like(exponent)  # q_k(t_j) = q[j] * 2^scale[j]
     sqrt_b = 0.0
     for k in range(n_max):
-        a[k] = float(np.sum(wh * t * q * q))
+        if k % _RESCALE == 0:
+            if k:
+                q_prev, q, shift = _rescaled(q_prev, q)
+                scale += shift
+            wq = np.ldexp(mantissa, exponent + 2 * scale)
+            wqt = wq * t
+        a[k] = float(wqt @ (q * q))
         if k + 1 < n_max:
             r = (t - a[k]) * q - sqrt_b * q_prev
-            b_next = float(np.sum(wh * r * r))
+            b_next = float(wq @ (r * r))
             if not (math.isfinite(b_next) and b_next > 0.0):
                 raise NumericError(
                     f"Stieltjes coefficient b[{k + 1}] came out nonpositive: "
@@ -331,40 +350,84 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def _forward(rec: RecurrenceCoefficients, x: float | np.ndarray, n: int):
+def _rescaled(p_prev: np.ndarray, p: np.ndarray):
+    """(p_prev / 2^j, p / 2^j, j), with j per point the binary exponent of
+    max(|p_prev|, |p|): exact, and the larger value lands in [0.5, 1)."""
+    shift = np.frexp(np.maximum(np.abs(p_prev), np.abs(p)))[1]
+    return np.ldexp(p_prev, -shift), np.ldexp(p, -shift), shift
+
+
+def _forward(rec: RecurrenceCoefficients, x: float | np.ndarray, n: int,
+             exponent: np.ndarray | None = None):
     """Yield p_k(x), k = 0, ..., n-1, at a float x or over every point of an array x.
 
     The package's one forward recurrence, behind :func:`eval_orthonormal`,
-    the entropy blocks and :func:`gauss_jacobi`: p_{k+1} is
+    the entropy blocks and the Gauss rules: p_{k+1} is
     ((x - a_k) p_k - sqrt(b_k) p_{k-1}) / sqrt(b_{k+1}).  A Python float
     and each point of an array take the same IEEE operations in the same
     order, so they get the same bits.  The coefficients are read through
     memoryviews as Python floats, with no list or numpy scalar per step,
     and each step yields a new value, so memory is O(x.size) when the
     caller keeps none of them.
+
+    With ``exponent``, an int array of x's shape, the values never
+    overflow: before p_k for k = 1 + m * _RESCALE, m >= 1, except the last
+    value, the pair (p_{k-2}, p_{k-1}) is divided per point by an exact
+    2^j (:func:`_rescaled`) and j added to ``exponent`` in place.  The value
+    yielded is p_k(x) / 2^exponent, with ``exponent`` as it stands when
+    the value is taken; the last two values share it.  The steps between
+    rescales are the same as without, so every value keeps its bits
+    times a power of two.
     """
+    a = memoryview(rec.a)
     sb = memoryview(np.sqrt(rec.b[:n]))
     p_prev, p = 0.0, x * 0.0 + 1.0 / sb[0]
     yield p
-    for a_k, sb_k, sb_next in zip(memoryview(rec.a), sb, sb[1:]):
-        p_prev, p = p, ((x - a_k) * p - sb_k * p_prev) / sb_next
-        yield p
+    run = n if exponent is None else _RESCALE
+    for k in range(0, n - 1, run):  # steps k, ..., k + run - 1 give p_{k+1}, ...
+        if 0 < k < n - 2:
+            p_prev, p, shift = _rescaled(p_prev, p)
+            exponent += shift
+        for a_k, sb_k, sb_next in zip(a[k:], sb[k:k + run], sb[k + 1:]):
+            p_prev, p = p, ((x - a_k) * p - sb_k * p_prev) / sb_next
+            yield p
 
 
-def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
-    """Gauss-Jacobi rule for the weight (1-x)^alpha * (1+x)^beta.
+def _christoffel_sums(rec: RecurrenceCoefficients, x: np.ndarray, n: int):
+    """(total, e) with sum_{k<n} p_k(x)^2 = total * 4^e at every point of x.
 
-    Jacobi-matrix eigenvalues (ascending) polished by one Newton step on
-    p_N, N = size, with the Christoffel numbers 1 / sum_{k<N} p_k^2 there as
-    weights: O(N) memory and relatively accurate weights (Hale & Townsend,
-    SIAM J. Sci. Comput. 35, 2013), where Golub-Welsch eigenvector weights
-    are not.  Both passes run :func:`_forward` over all nodes and form
-    values only; the Newton step takes p_N' from the Jacobi relation
+    One scaled :func:`_forward` pass, added up in the order of the
+    unscaled sum.  Every rescale is exact, so where the unscaled sum and
+    its terms stay in the normal range, total is its bits times 4^-e.
+    """
+    exponent = np.zeros(x.shape, np.intc)
+    values = _forward(rec, x, n, exponent)
+    total = next(values) ** 2
+    for _ in range(1, n, _RESCALE):
+        before = exponent.copy()
+        block = islice(values, _RESCALE)
+        p = next(block)  # the pass rescales before this value
+        total = np.ldexp(total, 2 * (before - exponent)) + p * p
+        for p in block:
+            total += p * p
+    return total, exponent
+
+
+def _gauss_rule(alpha: float, beta: float, size: int):
+    """Every node of the size-point Gauss-Jacobi rule, and its weight as m * 2^e.
+
+    Returns (nodes, m, e), nodes ascending.  Jacobi-matrix eigenvalues
+    polished by one Newton step on p_N, N = size, with the Christoffel
+    numbers 1 / sum_{k<N} p_k^2 there as weights: O(N) memory and
+    relatively accurate weights (Hale & Townsend, SIAM J. Sci. Comput. 35,
+    2013), where Golub-Welsch eigenvector weights are not.  Both passes run
+    :func:`_forward` with an exponent over all nodes and form values only,
+    so no node is lost to overflow.  The Newton step takes p_N' from the
+    Jacobi relation
     (1 - x^2) p_N' = N ((alpha - beta) / s - x) p_N + (s + 1) sqrt(b_N) p_{N-1},
     s = 2N + alpha + beta (Szego (4.5.7)), exact at every x and not only
-    at a zero like the Christoffel-Darboux form.  A node whose sum
-    overflows has a weight below the smallest double and is left out
-    (next to the endpoint of a large exponent).
+    at a zero like the Christoffel-Darboux form; p_N / p_N' does not
+    depend on the scale the pair shares.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -374,14 +437,27 @@ def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
     except Exception as exc:
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     s = 2 * size + alpha + beta
+    p_prev, p = deque(_forward(rec, nodes, size + 1, np.zeros(size, np.intc)), maxlen=2)
     with np.errstate(over="ignore", invalid="ignore"):
-        p_prev, p = deque(_forward(rec, nodes, size + 1), maxlen=2)
         dp = (size * ((alpha - beta) / s - nodes) * p
               + (s + 1.0) * math.sqrt(rec.b[size]) * p_prev) / ((1.0 - nodes) * (1.0 + nodes))
         nodes = nodes - p / dp
-        ksum = sum(p * p for p in _forward(rec, nodes, size))
-    kept = np.isfinite(ksum)
-    return QuadratureRule(nodes[kept], 1.0 / ksum[kept])
+    total, exponent = _christoffel_sums(rec, nodes, size)
+    return nodes, 1.0 / total, -2 * exponent
+
+
+def gauss_jacobi(alpha: float, beta: float, size: int) -> QuadratureRule:
+    """Gauss-Jacobi rule for the weight (1-x)^alpha * (1+x)^beta.
+
+    The nodes of :func:`_gauss_rule` whose weight is a normal double, with
+    that weight.  A node whose weight lies below the smallest normal
+    double (next to the endpoint of a large exponent in a large rule) is
+    left out here; :func:`stieltjes_recurrence` uses the full rule.
+    """
+    nodes, mantissa, exponent = _gauss_rule(alpha, beta, size)
+    weights = np.ldexp(mantissa, exponent)
+    kept = weights >= np.finfo(float).tiny
+    return QuadratureRule(nodes[kept], weights[kept])
 
 
 def eval_orthonormal(rec: RecurrenceCoefficients, x: float, n: int) -> np.ndarray:

@@ -185,13 +185,28 @@ class TestEntropyCommand:
         assert err == "numeric error: recurrence coefficients must be finite\n"
 
     def test_heavy_exponent_with_h_runs(self, capsys):
-        # a node of the default 660-node Stieltjes rule next to x = -1 has a
-        # weight below 1e-308
+        # a heavy exponent with a large h: the default Stieltjes rule has
+        # 437 nodes (d_h = 66)
         code, out, err = run_cli(capsys, "entropy", "--x=0.0", "--n", "289", "--alpha=0.0",
                                  "--beta=236.0", "--logh-coeffs=0.0,72.0")
         assert (code, err) == (0, "")
         _, rows = parse_csv(out)
         assert math.isfinite(float(rows[0][2]))
+
+    def test_heavy_exponent_h_of_one_prints_jacobi_rows(self, capsys):
+        # h = exp(1e-300 T_1) is 1 in doubles; the Stieltjes rule at n = 4000
+        # has 229 nodes whose weights lie below the smallest double
+        argv = ["entropy", "--alpha=0", "--beta=200", "--x", "0.3",
+                "--n-schedule", "500,1000,2000,4000"]
+        code, out, err = run_cli(capsys, *argv, "--logh-coeffs", "0,1e-300")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        _, reference = parse_csv(run_cli(capsys, *argv)[1])
+        assert [row[:2] for row in rows] == [row[:2] for row in reference]
+        assert len(rows) == 4
+        for row, ref in zip(rows, reference):
+            for column in (2, 3):
+                assert abs(float(row[column]) - float(ref[column])) < 1e-12
 
     def test_grid_rows_match_point_rows(self, capsys):
         # the grid source (vector recurrence) against the single-point source

@@ -38,7 +38,7 @@ CASES = {
         "entropy", "--x-grid=-0.8:0.8:0.2", "--n-schedule", "32,64",
         "--alpha=-0.3", "--beta=0.6", "--logh-coeffs=0.2,0.5,-0.3",
     ], 0),
-    # a benchmark-sized Stieltjes rule: d_h = 27, so 2043 Gauss-Jacobi nodes
+    # a benchmark-sized Stieltjes rule: d_h = 27, so 1070 Gauss-Jacobi nodes
     "entropy_logh_n1000": ([
         "entropy", "--x-grid=-0.6:0.6:0.4", "--n", "1000",
         "--alpha=0.4", "--beta=0.9", "--logh-coeffs=0.1,0.5,-0.3,0.2",

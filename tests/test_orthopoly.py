@@ -233,6 +233,35 @@ class TestStieltjes:
                             - shannon_entropy(christoffel_distribution(reference, x, n))
                         ) < 1e-10
 
+    def test_default_rule_resolves_logh_coeffs_at_n400(self):
+        # the default rule keeps n + 2 d_h + 16 nodes; n + d_h + 16 missed
+        # a 2n + 1500-node rule by 2.09 at |c| = 700
+        rng = np.random.default_rng(19)
+        for size in (5.0, 40.0, 150.0, 400.0, 700.0):
+            direction = rng.uniform(-1.0, 1.0, rng.integers(1, 4))
+            coeffs = (0.0,) + tuple(size * direction / np.abs(direction).sum())
+            for alpha, beta in ((0.0, 0.0), (-0.99, 0.5)):
+                weight = WeightSpec(alpha, beta, coeffs)
+                default = stieltjes_recurrence(weight, 400)
+                reference = stieltjes_recurrence(weight, 400, rule_size=2 * 400 + 1500)
+                for x in (0.3, -0.7, 0.95):
+                    assert abs(
+                        shannon_entropy(christoffel_distribution(default, x, 400))
+                        - shannon_entropy(christoffel_distribution(reference, x, 400))
+                    ) < 1e-10
+
+    # h = exp(1e-300 T_1) is 1 in doubles, so the build must give the closed
+    # form.  At beta = 200 and n = 2000, 78 of the 2016 nodes have weights
+    # below the smallest double; leaving them out put b off by 3.3e-2.
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 200.0), (200.0, 0.0), (0.5, 150.0)])
+    def test_heavy_exponent_keeps_every_node(self, alpha, beta):
+        weight = WeightSpec(alpha, beta, (0.0, 1e-300))
+        for n in (500, 1000, 2000):
+            rec = stieltjes_recurrence(weight, n)
+            ref = jacobi_recurrence(alpha, beta, n)
+            assert np.abs(rec.b / ref.b - 1.0).max() < 1e-12
+            assert np.abs(rec.a - ref.a).max() < 1e-12
+
     def test_overflowing_h_raises_numeric_error(self):
         # h = exp(800 x) overflows the quadrature mass outright
         with pytest.raises(NumericError):
